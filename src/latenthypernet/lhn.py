@@ -259,11 +259,11 @@ def _standardizer_payload(s: pls.Standardizer) -> dict:
 
 
 def _standardizer_from_payload(entry: dict) -> pls.Standardizer:
-    return pls.Standardizer(
-        means=np.array(entry["means"], dtype=np.float64),
-        stds=np.array(entry["stds"], dtype=np.float64),
-        epsilon=float(entry["epsilon"]),
-    )
+    means = np.array(entry["means"], dtype=np.float64)
+    stds = np.array(entry["stds"], dtype=np.float64)
+    if means.ndim != 1 or stds.shape != means.shape:
+        raise ValueError("standardizer means and stds must be equal-length lists")
+    return pls.Standardizer(means=means, stds=stds, epsilon=float(entry["epsilon"]))
 
 
 def save_lhn(model: LhnModel, path) -> None:
@@ -319,4 +319,25 @@ def load_lhn(path) -> LhnModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed field: {exc}") from None
+    _check_consistent(model, path)
     return model
+
+
+def _check_consistent(model: LhnModel, path) -> None:
+    """Reject a file whose parts disagree, before predict trips over them."""
+    if model.reduced:
+        widths = [m.components for m in model.pls_models]
+    else:
+        widths = [s.means.shape[0] for s in model.tap_standardizers]
+    if widths != model.layer_components:
+        raise FormatError(
+            f"{path}: per-layer widths {widths} disagree with layer_components "
+            f"{model.layer_components}"
+        )
+    bias = model.classifier_bias
+    expected = (model.latent_width, bias.size)
+    if bias.ndim != 1 or model.classifier_weights.shape != expected:
+        raise FormatError(
+            f"{path}: classifier weights are {model.classifier_weights.shape}, "
+            f"expected {expected} from layer_components and classifier_bias"
+        )

@@ -1,18 +1,14 @@
 """Supervised dimensionality reduction by partial least squares.
 
-Weight columns are extracted one at a time: an iterative power-style loop
-alternates between feature weights and class weights until the feature
-weight vector stops moving, then the extracted rank-1 component is deflated
-out of both blocks and the next column is computed. Features are z-scored
-and the class-indicator block is centered before extraction, so projections
-of differently scaled feature blocks live on a common scale.
-
-Two deflation variants are available:
-
-* ``normalized`` (default): loadings are scaled by the squared score norm,
-  ``p = X^T t / (t^T t)``, which keeps successive score vectors orthogonal.
-* ``literal``: unscaled loadings ``p = X^T t``. Only sensible when scores
-  are close to unit norm; kept selectable for comparison runs.
+Weight columns are extracted one at a time. Features are z-scored and the
+class-indicator block is centered first, so projections of differently
+scaled feature blocks live on a common scale. Each feature weight is the
+NIPALS fixed point in closed form: the top left singular vector of the
+small [features x classes] cross-product Xd^T Yd (Hoskuldsson 1988), signed
+the way NIPALS converges from its usual start, the first indicator column.
+The extracted rank-1 component is then deflated out of both blocks with
+loadings scaled by the squared score norm, ``p = X^T t / (t^T t)``, which
+keeps successive score vectors orthogonal.
 """
 from __future__ import annotations
 
@@ -22,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensors
 from .errors import (
     FormatError,
     InputError,
@@ -36,12 +31,6 @@ MODEL_FORMAT = "pls-model"
 MODEL_VERSION = 1
 
 DEFAULT_EPSILON = 1e-8
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITERS = 20
-
-# Deterministic stand-in for a random score initialization, used only when
-# the first indicator column is identically zero.
-_FALLBACK_SEED = 20508
 
 
 @dataclass(frozen=True)
@@ -124,25 +113,15 @@ def standardize_apply(s: Standardizer, X) -> np.ndarray:
     return (X - s.means) / s.stds
 
 
-def nipals_fit_trace(
-    X,
-    Y,
-    components: int,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    deflation: str = "normalized",
-) -> tuple[PlsModel, NipalsTrace]:
+def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
     """Fit a projection and also return the per-component fitting trace.
 
     Parameters
     ----------
     X : [n, m] raw feature matrix (standardized internally).
     Y : [n, k] class-indicator (or response) matrix, centered internally.
-    components : requested number of weight columns; silently clamped to
+    components : requested number of weight columns; clamped to
         min(m, n - 1) with a warning when too large.
-    tol : inner-loop stop threshold on max|w_new - w_old|.
-    max_iters : inner-loop iteration cap.
-    deflation : "normalized" or "literal", see module docstring.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -152,8 +131,6 @@ def nipals_fit_trace(
         raise ShapeError(f"row counts disagree: X has {X.shape[0]}, Y has {Y.shape[0]}")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise NumericError("X and Y must be finite")
-    if deflation not in ("normalized", "literal"):
-        raise ParameterError(f"unknown deflation variant {deflation!r}")
     if components < 1:
         raise ParameterError("components must be >= 1")
 
@@ -179,43 +156,34 @@ def nipals_fit_trace(
     residual_norms = [float(np.linalg.norm(Xd))]
 
     for a in range(components):
-        u = Yd[:, 0].copy()
-        if not u.any():
-            u = np.random.default_rng(_FALLBACK_SEED).standard_normal(n)
-
-        w_prev = None
-        for _ in range(max_iters):
-            xu = Xd.T @ u
-            xu_norm = np.linalg.norm(xu)
-            if xu_norm == 0.0:
-                raise NumericError(
-                    f"component {a + 1}: feature block carries no signal left"
-                )
-            w = xu / xu_norm
-            t = Xd @ w
-            yt = Yd.T @ t
-            yt_norm = np.linalg.norm(yt)
-            if yt_norm == 0.0:
-                raise NumericError(
-                    f"component {a + 1}: indicator block carries no signal left"
-                )
-            q = yt / yt_norm
-            u = Yd @ q
-            if w_prev is not None and np.max(np.abs(w - w_prev)) < tol:
-                break
-            w_prev = w
+        C = Xd.T @ Yd
+        U, s, _ = np.linalg.svd(C, full_matrices=False)
+        if s[0] == 0.0:
+            raise NumericError(
+                f"component {a + 1}: feature block carries no signal left"
+            )
+        w = U[:, 0]
+        # NIPALS started from u = Yd[:, 0] converges to the sign with
+        # w . C[:, 0] > 0; when that start is orthogonal (an absent class),
+        # pin the sign on the largest entry so the fit stays deterministic.
+        lead = w @ C[:, 0]
+        if lead < 0.0 or (lead == 0.0 and w[np.argmax(np.abs(w))] < 0.0):
+            w = -w
+        t = Xd @ w
+        yt = Yd.T @ t
+        yt_norm = np.linalg.norm(yt)
+        if yt_norm == 0.0:
+            raise NumericError(
+                f"component {a + 1}: indicator block carries no signal left"
+            )
+        q = yt / yt_norm
 
         tt = float(t @ t)
         if tt == 0.0:
             raise NumericError(f"component {a + 1}: zero score vector")
-        if deflation == "normalized":
-            p = Xd.T @ t / tt
-            y_loading = Yd.T @ t / tt
-        else:
-            p = Xd.T @ t
-            y_loading = q
+        p = Xd.T @ t / tt
         Xd = Xd - np.outer(t, p)
-        Yd = Yd - np.outer(t, y_loading)
+        Yd = Yd - np.outer(t, yt / tt)
 
         W[:, a] = w
         T[:, a] = t
@@ -240,16 +208,9 @@ def nipals_fit_trace(
     return model, trace
 
 
-def nipals_fit(
-    X,
-    Y,
-    components: int,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    deflation: str = "normalized",
-) -> PlsModel:
+def nipals_fit(X, Y, components: int) -> PlsModel:
     """Fit a projection; see nipals_fit_trace for parameters."""
-    model, _ = nipals_fit_trace(X, Y, components, tol, max_iters, deflation)
+    model, _ = nipals_fit_trace(X, Y, components)
     return model
 
 
@@ -261,7 +222,7 @@ def pls_transform(model: PlsModel, X) -> np.ndarray:
             f"expected [n x {model.n_features}] input, got {X.shape}"
         )
     Z = standardize_apply(model.x_standardizer, X)
-    return tensors.matmul(Z, model.weights)
+    return Z @ model.weights
 
 
 def model_payload(model: PlsModel) -> dict:

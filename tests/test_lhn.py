@@ -239,6 +239,29 @@ class TestPersistence:
         with pytest.raises(UnsupportedVersionError):
             lhn.load_lhn(path)
 
+    @pytest.mark.parametrize("reduce", [True, False])
+    @pytest.mark.parametrize("tamper", ["classifier_row", "layer_width", "layer_count"])
+    def test_inconsistent_file_rejected(self, trained, tmp_path, reduce, tamper):
+        ds, cfg, params = trained
+        model = lhn.lhn_fit(
+            params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=reduce
+        )
+        path = tmp_path / "model.lhn.json"
+        lhn.save_lhn(model, path)
+        payload = json.loads(path.read_text())
+        if tamper == "classifier_row":
+            cw = payload["classifier_weights"]
+            cw["shape"][0] -= 1
+            cw["data"] = cw["data"][: -cw["shape"][1]]
+        elif tamper == "layer_width":
+            payload["layer_components"][0] += 1
+        else:
+            parts = "pls_models" if reduce else "tap_standardizers"
+            payload[parts] = payload[parts][:-1]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError):
+            lhn.load_lhn(path)
+
     def test_corrupt(self, tmp_path):
         path = tmp_path / "model.lhn.json"
         path.write_text("][", encoding="utf-8")
