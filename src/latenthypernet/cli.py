@@ -205,6 +205,10 @@ def _load_lhn_pair(cfg: RunConfig):
             f"{model_path} was fitted for architecture {model.config_name!r}, "
             f"which does not match {params_path}"
         )
+    if model.params_digest != convnet.params_digest(params):
+        raise ParameterError(
+            f"{model_path} was fitted on other weights than those in {params_path}"
+        )
     return params, config, model
 
 

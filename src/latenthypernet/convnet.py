@@ -5,6 +5,15 @@ each followed by a ReLU and a 2x1 max-pooling stage; the tail is flatten,
 one fully connected layer and a softmax. Backpropagation is written out by
 hand and validated against central finite differences (grad_check).
 
+There is one convolution primitive and one batched forward path. A single
+window runs as a batch of one, and the pool taps are read from the batched
+forward's per-layer outputs. The backward reuses the forward convolution:
+a layer's input gradient is the forward convolution of its zero-padded
+output gradient with the kernels flipped and transposed, and its kernel
+gradient is one contraction over sliding input windows. The first conv's
+input gradient is never formed, since its input is the data and no
+parameter lies upstream of it.
+
 A window enters the network as a single feature map of height t (time) and
 width equal to the channel count, so a kernel of shape 12x2 spans 12 time
 steps across 2 channels.
@@ -202,32 +211,40 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _param_shapes(config: NetworkConfig):
+    """Kernel shapes [filters, in_maps, kh, kw] per conv layer, and the dense weight shape."""
+    shapes = propagate_shapes(config)
+    kernels: list[tuple[int, ...]] = []
+    maps = 1
+    prev_flat = 0
+    dense_shape = None
+    for spec, shape in zip(config.layers, shapes):
+        if spec.kind == "conv":
+            kernels.append((spec.filters, maps, spec.kernel_h, spec.kernel_w))
+            maps = spec.filters
+        elif spec.kind == "dense":
+            dense_shape = (prev_flat, spec.units)
+        if len(shape) == 1:
+            prev_flat = shape[0]
+    if dense_shape is None:
+        raise ArchitectureError(f"{config.name}: network has no dense layer")
+    return kernels, dense_shape
+
+
 def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
     """Fan-in scaled uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    shapes = propagate_shapes(config)
-    kernels: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    maps = 1
-    prev_flat = 0
-    dense_w = dense_b = None
-    for spec, shape in zip(config.layers, shapes):
-        if spec.kind == "conv":
-            fan_in = maps * spec.kernel_h * spec.kernel_w
-            lim = 1.0 / np.sqrt(fan_in)
-            kernels.append(
-                rng.uniform(-lim, lim, size=(spec.filters, maps, spec.kernel_h, spec.kernel_w))
-            )
-            biases.append(np.zeros(spec.filters))
-            maps = spec.filters
-        elif spec.kind == "dense":
-            lim = 1.0 / np.sqrt(prev_flat)
-            dense_w = rng.uniform(-lim, lim, size=(prev_flat, spec.units))
-            dense_b = np.zeros(spec.units)
-        if len(shape) == 1:
-            prev_flat = shape[0]
+    kernel_shapes, dense_shape = _param_shapes(config)
+    kernels = []
+    for shape in kernel_shapes:
+        lim = 1.0 / np.sqrt(shape[1] * shape[2] * shape[3])  # fan-in
+        kernels.append(rng.uniform(-lim, lim, size=shape))
+    lim = 1.0 / np.sqrt(dense_shape[0])
     return NetworkParams(
-        conv_kernels=kernels, conv_biases=biases, dense_weights=dense_w, dense_bias=dense_b
+        conv_kernels=kernels,
+        conv_biases=[np.zeros(shape[0]) for shape in kernel_shapes],
+        dense_weights=rng.uniform(-lim, lim, size=dense_shape),
+        dense_bias=np.zeros(dense_shape[1]),
     )
 
 
@@ -263,21 +280,20 @@ def _conv_forward_batch(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) 
     return out
 
 
+def _conv_kernel_grads(x, kernels, grad_out):
+    """Kernel and bias gradients: grad_out contracted with every kh x kw input window."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
+    grad_k = np.tensordot(grad_out, windows, axes=([0, 2, 3], [0, 2, 3]))
+    return grad_k, grad_out.sum(axis=(0, 2, 3))
+
+
 def _conv_backward_batch(x, kernels, grad_out):
-    b, c, h, w = x.shape
-    f, _, kh, kw = kernels.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    grad_k = np.empty_like(kernels)
-    grad_x = np.zeros_like(x)
-    for ki in range(kh):
-        for kj in range(kw):
-            xs = x[:, :, ki : ki + oh, kj : kj + ow]
-            grad_k[:, :, ki, kj] = np.einsum("bfij,bcij->fc", grad_out, xs, optimize=True)
-            grad_x[:, :, ki : ki + oh, kj : kj + ow] += np.einsum(
-                "bfij,fc->bcij", grad_out, kernels[:, :, ki, kj], optimize=True
-            )
-    return grad_k, grad_b, grad_x
+    """Kernel, bias and input gradients; the input gradient is a full convolution."""
+    _, c, kh, kw = kernels.shape
+    grad_k, grad_b = _conv_kernel_grads(x, kernels, grad_out)
+    padded = np.pad(grad_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [in_maps, filters, kh, kw]
+    return grad_k, grad_b, _conv_forward_batch(padded, flipped, np.zeros(c))
 
 
 def _maxpool_forward_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,31 +324,30 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_batch(params, config, x, keep_cache=False, keep_pools=False):
+def _forward_batch(params, config, x, keep_cache=False):
     """Run a [b, 1, h, w] batch through the network.
 
-    Returns (logits, probs, pool_outputs, cache); cache entries carry what
-    the matching backward step needs.
+    Returns (logits, probs, outputs, cache): outputs[i] is layer i's output
+    for the whole batch, and cache entries carry what the matching backward
+    step needs. The network ends in dense, softmax, so the logits are the
+    next-to-last output.
     """
     cache = [] if keep_cache else None
-    pools = [] if keep_pools else None
+    outputs = []
     cur = x
     ci = 0
-    logits = None
     for spec in config.layers:
         if spec.kind == "conv":
-            pre = _conv_forward_batch(cur, params.conv_kernels[ci], params.conv_biases[ci])
+            out = _conv_forward_batch(cur, params.conv_kernels[ci], params.conv_biases[ci])
             if keep_cache:
-                cache.append(("conv", ci, cur, pre))
-            cur = np.maximum(pre, 0.0)
+                cache.append(("conv", ci, cur, out))
+            cur = np.maximum(out, 0.0, out=out)  # in place: every layer output is kept
             ci += 1
         elif spec.kind == "maxpool":
             out, arg = _maxpool_forward_batch(cur)
             if keep_cache:
                 cache.append(("maxpool", arg, cur.shape))
             cur = out
-            if keep_pools:
-                pools.append(cur)
         elif spec.kind == "flatten":
             if keep_cache:
                 cache.append(("flatten", cur.shape))
@@ -342,9 +357,16 @@ def _forward_batch(params, config, x, keep_cache=False, keep_pools=False):
                 cache.append(("dense", cur))
             cur = cur @ params.dense_weights + params.dense_bias
         elif spec.kind == "softmax":
-            logits = cur
             cur = _softmax_rows(cur)
-    return logits, cur, pools, cache
+        outputs.append(cur)
+    return outputs[-2], cur, outputs, cache
+
+
+def _forward_taps(params, config, x):
+    """(logits, outputs, taps): taps hold each pool output as [b, maps * rows * columns]."""
+    logits, _, outputs, _ = _forward_batch(params, config, x)
+    pools = (out for spec, out in zip(config.layers, outputs) if spec.kind == "maxpool")
+    return logits, outputs, [out.reshape(out.shape[0], -1) for out in pools]
 
 
 def _backward_batch(params, grad_logits, cache):
@@ -367,11 +389,13 @@ def _backward_batch(params, grad_logits, cache):
             _, arg, shape = entry
             g = _maxpool_backward_batch(g, arg, shape)
         elif kind == "conv":
-            _, ci, inp, pre = entry
-            g = g * (pre > 0.0)
-            gk, gb, g = _conv_backward_batch(inp, params.conv_kernels[ci], g)
-            grad_kernels[ci] = gk
-            grad_biases[ci] = gb
+            _, ci, inp, out = entry
+            g = g * (out > 0.0)
+            kernels = params.conv_kernels[ci]
+            if ci == 0:  # its input is the data: nothing upstream needs that gradient
+                grad_kernels[0], grad_biases[0] = _conv_kernel_grads(inp, kernels, g)
+                break
+            grad_kernels[ci], grad_biases[ci], g = _conv_backward_batch(inp, kernels, g)
     return grad_kernels, grad_biases, grad_dense_w, grad_dense_b
 
 
@@ -414,31 +438,13 @@ def _check_window(config: NetworkConfig, window: np.ndarray) -> np.ndarray:
 
 
 def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> ForwardTrace:
-    """Forward one window, recording every layer output and pool tap."""
+    """Forward one window, recording every layer output and pool tap.
+
+    The window runs as a batch of one; the trace holds views into that run.
+    """
     window = _check_window(config, window)
-    cur = window[None, None, :, :]
-    outputs: list[np.ndarray] = []
-    taps: list[np.ndarray] = []
-    ci = 0
-    logits = None
-    for spec in config.layers:
-        if spec.kind == "conv":
-            cur = np.maximum(
-                _conv_forward_batch(cur, params.conv_kernels[ci], params.conv_biases[ci]), 0.0
-            )
-            ci += 1
-        elif spec.kind == "maxpool":
-            cur, _ = _maxpool_forward_batch(cur)
-            taps.append(cur[0].reshape(-1).copy())  # (map, row, column) order
-        elif spec.kind == "flatten":
-            cur = cur.reshape(1, -1)
-        elif spec.kind == "dense":
-            cur = cur @ params.dense_weights + params.dense_bias
-            logits = cur[0].copy()
-        elif spec.kind == "softmax":
-            cur = _softmax_rows(cur)
-        outputs.append(cur[0].copy())
-    return ForwardTrace(layer_outputs=tuple(outputs), pool_taps=tuple(taps), logits=logits)
+    logits, outputs, taps = _forward_taps(params, config, window[None, None, :, :])
+    return ForwardTrace(tuple(out[0] for out in outputs), tuple(t[0] for t in taps), logits[0])
 
 
 def predict(params: NetworkParams, config: NetworkConfig, window) -> int:
@@ -683,7 +689,41 @@ def load_params(path) -> tuple[NetworkParams, NetworkConfig]:
     params = NetworkParams(
         conv_kernels=kernels, conv_biases=biases, dense_weights=dense_w, dense_bias=dense_b
     )
+    _check_params(params, config, path)
     return params, config
+
+
+def _check_params(params: NetworkParams, config: NetworkConfig, path) -> None:
+    """Reject weights that disagree with the stored config, before predict trips over them."""
+    try:
+        kernel_shapes, dense_shape = _param_shapes(config)
+    except (ArchitectureError, TypeError) as exc:
+        raise FormatError(f"{path}: config: {exc}") from None
+    counts = (len(params.conv_kernels), len(params.conv_biases))
+    if counts != (len(kernel_shapes),) * 2:
+        raise FormatError(
+            f"{path}: conv_kernels and conv_biases hold {counts[0]} and {counts[1]} entries, "
+            f"the stored config has {len(kernel_shapes)} conv layers"
+        )
+    fields = [
+        (f"conv_kernels[{i}]", k, shape)
+        for i, (k, shape) in enumerate(zip(params.conv_kernels, kernel_shapes))
+    ]
+    fields += [
+        (f"conv_biases[{i}]", b, shape[:1])
+        for i, (b, shape) in enumerate(zip(params.conv_biases, kernel_shapes))
+    ]
+    fields += [
+        ("dense_weights", params.dense_weights, dense_shape),
+        ("dense_bias", params.dense_bias, dense_shape[1:]),
+    ]
+    for name, arr, shape in fields:
+        if arr.shape != shape:
+            raise FormatError(
+                f"{path}: {name} has shape {arr.shape}, the stored config needs {shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {name} holds non-finite values")
 
 
 def params_digest(params: NetworkParams) -> str:

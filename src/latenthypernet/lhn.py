@@ -33,7 +33,7 @@ from .errors import (
 from .ingest import Dataset
 
 MODEL_FORMAT = "lhn-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 DEFAULT_COMPONENTS = 19
 
@@ -56,6 +56,7 @@ class LhnModel:
     layer_components: list[int]  # effective width per pool layer
     config_name: str
     config_digest: str
+    params_digest: str  # convnet.params_digest of the weights it was fitted on
 
     @property
     def reduced(self) -> bool:
@@ -86,14 +87,11 @@ def collect_pool_features(
             f"network expects {config.input_h}x{config.input_w}"
         )
     x = dataset.stacked()[:, None, :, :]
-    chunks: list[list[np.ndarray]] = []
-    for start in range(0, x.shape[0], _COLLECT_CHUNK):
-        _, _, pools, _ = convnet._forward_batch(
-            params, config, x[start : start + _COLLECT_CHUNK], keep_pools=True
-        )
-        chunks.append([p.reshape(p.shape[0], -1) for p in pools])
-    n_layers = len(chunks[0])
-    return [np.concatenate([c[i] for c in chunks], axis=0) for i in range(n_layers)]
+    chunks = [
+        convnet._forward_taps(params, config, x[start : start + _COLLECT_CHUNK])[2]
+        for start in range(0, x.shape[0], _COLLECT_CHUNK)
+    ]
+    return [np.concatenate(layer, axis=0) for layer in zip(*chunks)]
 
 
 def lhn_fit(
@@ -155,6 +153,7 @@ def lhn_fit(
         layer_components=layer_components,
         config_name=config.name,
         config_digest=convnet.config_digest(config),
+        params_digest=convnet.params_digest(params),
     )
 
 
@@ -175,8 +174,9 @@ def lhn_transform(
     model: LhnModel, params: NetworkParams, config: NetworkConfig, window
 ) -> np.ndarray:
     """Latent feature vector of one window: per-layer projections, in order."""
-    trace = convnet.forward_with_taps(params, config, window)
-    return _project_taps(model, [t[None, :] for t in trace.pool_taps])[0]
+    window = convnet._check_window(config, window)
+    _, _, taps = convnet._forward_taps(params, config, window[None, None, :, :])
+    return _project_taps(model, taps)[0]
 
 
 def lhn_predict(
@@ -274,6 +274,7 @@ def save_lhn(model: LhnModel, path) -> None:
         "version": MODEL_VERSION,
         "config_name": model.config_name,
         "config_digest": model.config_digest,
+        "params_digest": model.params_digest,
         "components": model.components,
         "layer_components": list(model.layer_components),
         "pls_models": [pls.model_payload(m) for m in model.pls_models],
@@ -316,6 +317,7 @@ def load_lhn(path) -> LhnModel:
             layer_components=[int(v) for v in payload["layer_components"]],
             config_name=payload["config_name"],
             config_digest=payload["config_digest"],
+            params_digest=payload["params_digest"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed field: {exc}") from None

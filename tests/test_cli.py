@@ -252,6 +252,21 @@ def test_project_both_selectors(trained_files, tmp_path):
         assert len(lines) == 1 + 80
 
 
+def test_model_paired_with_other_weights_exits_two(trained_files, tmp_path, capsys):
+    data_csv, _, model_path = trained_files
+    common = ["--data", str(data_csv), "--rate", str(RATE), "--window-seconds", "5"]
+    rc = cli.main(["train", *common, "--epochs", "1", "--seed", "4", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    other = tmp_path / "convnet1.params.json"  # same architecture, other weights
+    rc = cli.main(
+        ["project", *common, "--params", str(other), "--lhn-model", str(model_path),
+         "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "other weights" in capsys.readouterr().err
+    assert not (tmp_path / "projection_last.csv").exists()
+
+
 def test_config_file_and_flag_precedence(data_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(

@@ -35,6 +35,26 @@ def conv_oracle(x, kernels, biases):
     return out
 
 
+def conv_backward_oracle(x, kernels, grad_out):
+    """Loop over every output position and kernel tap, accumulating both gradients."""
+    b, c, h, w = x.shape
+    f, _, kh, kw = kernels.shape
+    _, _, oh, ow = grad_out.shape
+    grad_k = np.zeros_like(kernels)
+    grad_x = np.zeros_like(x)
+    for n in range(b):
+        for fi in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    g = grad_out[n, fi, i, j]
+                    for ci in range(c):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                grad_k[fi, ci, ki, kj] += g * x[n, ci, i + ki, j + kj]
+                                grad_x[n, ci, i + ki, j + kj] += g * kernels[fi, ci, ki, kj]
+    return grad_k, grad_x
+
+
 def toy_config(input_h=10, input_w=2, k=3):
     return convnet.NetworkConfig(
         name="toy",
@@ -133,6 +153,21 @@ class TestConvForward:
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             convnet.conv2d_forward(np.zeros((1, 4, 2)), np.zeros((1, 1, 5, 1)), np.zeros(1))
+
+
+class TestConvBackward:
+    def test_against_loop_oracle(self):
+        # batch > 1, two input maps and a kernel narrower than the map, so the
+        # input gradient pads both rows and columns
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 2, 9, 3))
+        kernels = rng.normal(size=(4, 2, 4, 2))
+        grad_out = rng.normal(size=(3, 4, 6, 2))
+        grad_k, grad_b, grad_x = convnet._conv_backward_batch(x, kernels, grad_out)
+        oracle_k, oracle_x = conv_backward_oracle(x, kernels, grad_out)
+        assert np.abs(grad_k - oracle_k).max() <= 1e-12
+        assert np.abs(grad_x - oracle_x).max() <= 1e-12
+        assert np.abs(grad_b - grad_out.sum(axis=(0, 2, 3))).max() <= 1e-12
 
 
 class TestMaxPool:
@@ -234,6 +269,26 @@ class TestGradCheck:
         w = np.random.default_rng(6).normal(size=(10, 2))
         assert convnet.grad_check(cfg, w, label=1, seed=3) <= 1e-4
 
+    def test_second_conv_two_wide(self):
+        # the first conv's input gradient is skipped, so only a later conv
+        # with kw > 1 exercises the padded full convolution end to end
+        cfg = convnet.NetworkConfig(
+            name="toy-wide",
+            layers=(
+                convnet.conv(2, 3, 2),
+                convnet.maxpool(),
+                convnet.conv(3, 2, 2),
+                convnet.maxpool(),
+                convnet.flatten(),
+                convnet.dense(3),
+                convnet.softmax(),
+            ),
+            input_h=12,
+            input_w=3,
+        )
+        w = np.random.default_rng(9).normal(size=(12, 3))
+        assert convnet.grad_check(cfg, w, label=2, seed=5) <= 1e-4
+
     def test_dense_only(self):
         cfg = convnet.NetworkConfig(
             name="d",
@@ -334,4 +389,32 @@ class TestPersistence:
         path = tmp_path / "net.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(FormatError):
+            convnet.load_params(path)
+
+    def saved_payload(self, tmp_path):
+        cfg = convnet.preset("convnet1", 48, 2, 4)
+        path = tmp_path / "net.json"
+        convnet.save_params(convnet.init_params(cfg, 0), cfg, path)
+        return path, json.loads(path.read_text())
+
+    def test_kernel_shape_checked_against_config(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        f, c, kh, kw = payload["conv_kernels"][0]["shape"]
+        payload["conv_kernels"][0]["shape"] = [f, c, kh * kw, 1]  # same size
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=r"conv_kernels\[0\]"):
+            convnet.load_params(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["dense_bias"][0] = float("nan")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match="dense_bias"):
+            convnet.load_params(path)
+
+    def test_infeasible_config_rejected(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["config"]["layers"][0]["kernel_h"] = 200
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=": config: "):
             convnet.load_params(path)

@@ -54,6 +54,20 @@ def test_tap_flattening_is_map_row_column(trained):
     assert np.array_equal(trace.pool_taps[0], pooled.reshape(-1))
 
 
+def test_single_window_is_a_batch_of_one(trained):
+    ds, cfg, params = trained
+    model = lhn.lhn_fit(params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1))
+    convnet_rows = convnet.predict_dataset(params, cfg, ds)
+    lhn_rows = lhn.lhn_predict_dataset(model, params, cfg, ds)
+    taps = lhn.collect_pool_features(params, cfg, ds)
+    for j, window in enumerate(ds.windows):
+        assert convnet.predict(params, cfg, window.values) == convnet_rows[j]
+        assert lhn.lhn_predict(model, params, cfg, window.values) == lhn_rows[j]
+        trace = convnet.forward_with_taps(params, cfg, window.values)
+        for tap, rows in zip(trace.pool_taps, taps, strict=True):
+            assert np.allclose(tap, rows[j], rtol=1e-12, atol=1e-12)
+
+
 def test_latent_width_small(trained):
     ds, cfg, params = trained
     model = lhn.lhn_fit(params, cfg, ds, components=1, classifier=TrainingConfig(epochs=1))
@@ -223,6 +237,7 @@ class TestPersistence:
         assert np.array_equal(loaded.classifier_bias, model.classifier_bias)
         assert loaded.layer_components == model.layer_components
         assert loaded.config_digest == model.config_digest
+        assert loaded.params_digest == model.params_digest == convnet.params_digest(params)
         for ma, mb in zip(loaded.pls_models, model.pls_models):
             assert np.array_equal(ma.weights, mb.weights)
         w = ds.windows[3].values
@@ -235,6 +250,19 @@ class TestPersistence:
         lhn.save_lhn(model, path)
         payload = json.loads(path.read_text())
         payload["version"] = 12
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(UnsupportedVersionError):
+            lhn.load_lhn(path)
+
+    def test_version_1_file_refused(self, trained, tmp_path):
+        # version 1 files carry no params_digest, so they cannot be paired
+        ds, cfg, params = trained
+        model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
+        path = tmp_path / "model.lhn.json"
+        lhn.save_lhn(model, path)
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        del payload["params_digest"]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(UnsupportedVersionError):
             lhn.load_lhn(path)
