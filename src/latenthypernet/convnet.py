@@ -5,14 +5,16 @@ each followed by a ReLU and a 2x1 max-pooling stage; the tail is flatten,
 one fully connected layer and a softmax. Backpropagation is written out by
 hand and validated against central finite differences (grad_check).
 
-There is one convolution primitive and one batched forward path. A single
-window runs as a batch of one, and the pool taps are read from the batched
-forward's per-layer outputs. The backward reuses the forward convolution:
-a layer's input gradient is the forward convolution of its zero-padded
-output gradient with the kernels flipped and transposed, and its kernel
-gradient is one contraction over sliding input windows. The first conv's
-input gradient is never formed, since its input is the data and no
-parameter lies upstream of it.
+There is one convolution primitive and one batched forward path, which
+returns every layer's output; a single window runs as a batch of one. The
+pool taps, the logits and everything the backward needs are read from those
+outputs. The backward reuses the forward convolution: a layer's input
+gradient is the forward convolution of its zero-padded output gradient with
+the kernels flipped and transposed, and its kernel gradient is one
+contraction over sliding input windows. The first conv's input gradient is
+never formed, since its input is the data. Pooling keeps no argmax: the
+backward compares each row pair again and routes the gradient to the upper
+row where it is >= the lower.
 
 A window enters the network as a single feature map of height t (time) and
 width equal to the channel count, so a kernel of shape 12x2 spans 12 time
@@ -38,6 +40,8 @@ from .ingest import Dataset
 
 PARAMS_FORMAT = "convnet-params"
 PARAMS_VERSION = 1
+
+_CHUNK = 256  # windows per forward when a whole dataset is predicted or tapped
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,8 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
     """Output shape of every layer, validating structure and extents.
 
     Shapes are (maps, h, w) until flatten, then (units,). Conv layers must
-    be immediately followed by a maxpool; the tail must be flatten, dense,
-    softmax.
+    be immediately followed by a maxpool, and every maxpool is 2x1; the
+    tail must be flatten, dense, softmax.
     """
     shapes: list[tuple[int, ...]] = []
     maps, h, w = 1, config.input_h, config.input_w
@@ -186,7 +190,11 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
         elif spec.kind == "maxpool":
             if flat is not None:
                 raise ArchitectureError(f"{where} appears after flatten")
-            h = h // spec.pool_h
+            if (spec.pool_h, spec.pool_w) != (2, 1):
+                raise ArchitectureError(
+                    f"{where}: only 2x1 pooling is supported, got {spec.pool_h}x{spec.pool_w}"
+                )
+            h = h // 2
             if h < 1:
                 raise ArchitectureError(f"{where} would produce a {h}-row map")
             shapes.append((maps, h, w))
@@ -248,13 +256,6 @@ def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
     )
 
 
-def parameter_count(params: NetworkParams) -> int:
-    total = sum(k.size for k in params.conv_kernels)
-    total += sum(b.size for b in params.conv_biases)
-    total += params.dense_weights.size + params.dense_bias.size
-    return total
-
-
 # ---------------------------------------------------------------------------
 # forward / backward primitives (batched; leading axis is the batch)
 # ---------------------------------------------------------------------------
@@ -296,107 +297,102 @@ def _conv_backward_batch(x, kernels, grad_out):
     return grad_k, grad_b, _conv_forward_batch(padded, flipped, np.zeros(c))
 
 
-def _maxpool_forward_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    b, c, h, w = x.shape
-    if h < 2:
-        raise ShapeError(f"max pooling needs at least 2 rows, got {h}")
-    h2 = h // 2
-    pairs = x[:, :, : 2 * h2, :].reshape(b, c, h2, 2, w)
-    # argmax returns the first maximum, so ties route to the upper row
-    arg = pairs.argmax(axis=3)
-    out = np.take_along_axis(pairs, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, arg
+def _row_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the upper and lower rows of each pooling pair; a trailing odd row is dropped."""
+    end = x.shape[-2] - x.shape[-2] % 2
+    return x[..., 0:end:2, :], x[..., 1:end:2, :]
 
 
-def _maxpool_backward_batch(grad_out, arg, x_shape):
-    b, c, h, w = x_shape
-    h2 = h // 2
-    grad_pairs = np.zeros((b, c, h2, 2, w))
-    np.put_along_axis(grad_pairs, arg[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-    grad_x = np.zeros(x_shape)
-    grad_x[:, :, : 2 * h2, :] = grad_pairs.reshape(b, c, 2 * h2, w)
+def _maxpool_forward_batch(x: np.ndarray) -> np.ndarray:
+    if x.shape[2] < 2:
+        raise ShapeError(f"max pooling needs at least 2 rows, got {x.shape[2]}")
+    return np.maximum(*_row_pairs(x))
+
+
+def _maxpool_backward_batch(grad_out, x):
+    """Route each gradient to the upper row of its pair where upper >= lower, else the lower."""
+    upper, lower = _row_pairs(x)
+    upper_wins = upper >= lower
+    grad_x = np.zeros(x.shape)
+    grad_upper, grad_lower = _row_pairs(grad_x)
+    grad_upper[...] = np.where(upper_wins, grad_out, 0.0)
+    grad_lower[...] = np.where(upper_wins, 0.0, grad_out)
     return grad_x
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward_batch(params, config, x, keep_cache=False):
+def _forward_batch(params, config, x):
     """Run a [b, 1, h, w] batch through the network.
 
-    Returns (logits, probs, outputs, cache): outputs[i] is layer i's output
-    for the whole batch, and cache entries carry what the matching backward
-    step needs. The network ends in dense, softmax, so the logits are the
-    next-to-last output.
+    Returns every layer's output for the whole batch, in layer order. The
+    network ends in dense, softmax, so the logits are outputs[-2] and the
+    class probabilities outputs[-1]. The backward reads these outputs.
     """
-    cache = [] if keep_cache else None
     outputs = []
     cur = x
     ci = 0
     for spec in config.layers:
         if spec.kind == "conv":
             out = _conv_forward_batch(cur, params.conv_kernels[ci], params.conv_biases[ci])
-            if keep_cache:
-                cache.append(("conv", ci, cur, out))
             cur = np.maximum(out, 0.0, out=out)  # in place: every layer output is kept
             ci += 1
         elif spec.kind == "maxpool":
-            out, arg = _maxpool_forward_batch(cur)
-            if keep_cache:
-                cache.append(("maxpool", arg, cur.shape))
-            cur = out
+            cur = _maxpool_forward_batch(cur)
         elif spec.kind == "flatten":
-            if keep_cache:
-                cache.append(("flatten", cur.shape))
             cur = cur.reshape(cur.shape[0], -1)
         elif spec.kind == "dense":
-            if keep_cache:
-                cache.append(("dense", cur))
             cur = cur @ params.dense_weights + params.dense_bias
         elif spec.kind == "softmax":
-            cur = _softmax_rows(cur)
+            e = np.exp(cur - cur.max(axis=1, keepdims=True))
+            cur = e / e.sum(axis=1, keepdims=True)
         outputs.append(cur)
-    return outputs[-2], cur, outputs, cache
+    return outputs
 
 
 def _forward_taps(params, config, x):
-    """(logits, outputs, taps): taps hold each pool output as [b, maps * rows * columns]."""
-    logits, _, outputs, _ = _forward_batch(params, config, x)
+    """(outputs, taps): taps hold each pool output as [b, maps * rows * columns]."""
+    outputs = _forward_batch(params, config, x)
     pools = (out for spec, out in zip(config.layers, outputs) if spec.kind == "maxpool")
-    return logits, outputs, [out.reshape(out.shape[0], -1) for out in pools]
+    return outputs, [out.reshape(out.shape[0], -1) for out in pools]
 
 
-def _backward_batch(params, grad_logits, cache):
-    """Walk the cache in reverse; returns gradients per parameter array."""
+def _backward_batch(params, config, x, outputs, grad_logits):
+    """Gradients per parameter array; layer i's input is outputs[i - 1], or x for i = 0."""
     grad_kernels = [None] * len(params.conv_kernels)
     grad_biases = [None] * len(params.conv_biases)
     grad_dense_w = grad_dense_b = None
     g = grad_logits
-    for entry in reversed(cache):
-        kind = entry[0]
+    ci = len(params.conv_kernels)
+    for i in reversed(range(len(config.layers) - 1)):  # grad_logits is past the softmax
+        kind = config.layers[i].kind
+        inp = outputs[i - 1] if i else x
         if kind == "dense":
-            _, inp = entry
             grad_dense_w = inp.T @ g
             grad_dense_b = g.sum(axis=0)
             g = g @ params.dense_weights.T
         elif kind == "flatten":
-            _, shape = entry
-            g = g.reshape(shape)
+            g = g.reshape(inp.shape)
         elif kind == "maxpool":
-            _, arg, shape = entry
-            g = _maxpool_backward_batch(g, arg, shape)
+            g = _maxpool_backward_batch(g, inp)
         elif kind == "conv":
-            _, ci, inp, out = entry
-            g = g * (out > 0.0)
+            ci -= 1
+            g = g * (outputs[i] > 0.0)
             kernels = params.conv_kernels[ci]
             if ci == 0:  # its input is the data: nothing upstream needs that gradient
                 grad_kernels[0], grad_biases[0] = _conv_kernel_grads(inp, kernels, g)
                 break
             grad_kernels[ci], grad_biases[ci], g = _conv_backward_batch(inp, kernels, g)
     return grad_kernels, grad_biases, grad_dense_w, grad_dense_b
+
+
+def _cross_entropy(outputs, labels):
+    """Summed softmax cross-entropy of a batch, and its gradient at the logits."""
+    logits, probs = outputs[-2], outputs[-1]
+    rows = np.arange(len(labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    grad_logits = probs.copy()
+    grad_logits[rows, labels] -= 1.0
+    return -log_probs[rows, labels].sum(), grad_logits
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +413,16 @@ def conv2d_forward(x, kernels, biases) -> np.ndarray:
 def maxpool_forward(x) -> tuple[np.ndarray, np.ndarray]:
     """Non-overlapping 2x1 max pooling of one [maps, h, w] input.
 
-    Returns the pooled maps and the within-pair argmax (0 = upper row) used
-    to route gradients; a trailing odd row is dropped.
+    Returns the pooled maps and, per output, the row of its pair that the
+    backward routes the gradient to (0 = upper row, also on ties); a
+    trailing odd row is dropped.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"expected [maps, h, w] input, got rank {x.ndim}")
-    out, arg = _maxpool_forward_batch(x[None])
-    return out[0], arg[0]
+    out = _maxpool_forward_batch(x[None])[0]
+    upper, lower = _row_pairs(x)
+    return out, (lower > upper).astype(np.intp)
 
 
 def _check_window(config: NetworkConfig, window: np.ndarray) -> np.ndarray:
@@ -443,23 +441,40 @@ def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> F
     The window runs as a batch of one; the trace holds views into that run.
     """
     window = _check_window(config, window)
-    logits, outputs, taps = _forward_taps(params, config, window[None, None, :, :])
-    return ForwardTrace(tuple(out[0] for out in outputs), tuple(t[0] for t in taps), logits[0])
+    outputs, taps = _forward_taps(params, config, window[None, None, :, :])
+    return ForwardTrace(tuple(out[0] for out in outputs), tuple(t[0] for t in taps), outputs[-2][0])
 
 
 def predict(params: NetworkParams, config: NetworkConfig, window) -> int:
     """Class index with the largest logit; ties go to the lowest index."""
     window = _check_window(config, window)
-    logits, _, _, _ = _forward_batch(params, config, window[None, None, :, :])
+    logits = _forward_batch(params, config, window[None, None, :, :])[-2]
     return int(np.argmax(logits[0]))
 
 
-def predict_dataset(params: NetworkParams, config: NetworkConfig, dataset: Dataset) -> np.ndarray:
-    """Vectorized predict over a whole dataset."""
+def _dataset_batch(config: NetworkConfig, dataset: Dataset) -> np.ndarray:
+    """The dataset's windows as one [n, 1, h, w] batch, checked against the network input."""
     if len(dataset) == 0:
         raise InputError("dataset is empty")
-    logits, _, _, _ = _forward_batch(params, config, dataset.stacked()[:, None, :, :])
-    return np.argmax(logits, axis=1)
+    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
+        raise ShapeError(
+            f"dataset windows are {dataset.window_len}x{dataset.channels} but the "
+            f"network expects {config.input_h}x{config.input_w}"
+        )
+    return dataset.stacked()[:, None, :, :]
+
+
+def _chunks(x: np.ndarray):
+    """Consecutive slices of at most _CHUNK windows, so a forward's memory stays bounded."""
+    return (x[start : start + _CHUNK] for start in range(0, x.shape[0], _CHUNK))
+
+
+def predict_dataset(params: NetworkParams, config: NetworkConfig, dataset: Dataset) -> np.ndarray:
+    """Vectorized predict over a whole dataset, in chunks of _CHUNK windows."""
+    x = _dataset_batch(config, dataset)
+    return np.concatenate(
+        [np.argmax(_forward_batch(params, config, chunk)[-2], axis=1) for chunk in _chunks(x)]
+    )
 
 
 def _macro_recall(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
@@ -505,19 +520,15 @@ def train_arrays(
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             xb, yb = x[idx], labels[idx]
-            logits, probs, _, cache = _forward_batch(params, config, xb, keep_cache=True)
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            batch_loss = -log_probs[np.arange(len(idx)), yb].sum()
+            outputs = _forward_batch(params, config, xb)
+            batch_loss, grad_logits = _cross_entropy(outputs, yb)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"loss became non-finite in epoch {epoch}")
             loss_sum += float(batch_loss)
-            preds[idx] = np.argmax(logits, axis=1)
+            preds[idx] = np.argmax(outputs[-2], axis=1)
 
-            grad_logits = probs.copy()
-            grad_logits[np.arange(len(idx)), yb] -= 1.0
             grad_logits /= len(idx)
-            gks, gbs, gw, gb = _backward_batch(params, grad_logits, cache)
+            gks, gbs, gw, gb = _backward_batch(params, config, xb, outputs, grad_logits)
 
             for i, gk in enumerate(gks):
                 vel_k[i] = mom * vel_k[i] - lr * gk
@@ -542,21 +553,8 @@ def train(
     log_stream=None,
 ) -> NetworkParams:
     """Train on a segmented dataset; see train_arrays."""
-    if len(dataset) == 0:
-        raise InputError("dataset is empty")
-    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
-        raise ShapeError(
-            f"dataset windows are {dataset.window_len}x{dataset.channels} but the "
-            f"network expects {config.input_h}x{config.input_w}"
-        )
-    x = dataset.stacked()[:, None, :, :]
+    x = _dataset_batch(config, dataset)
     return train_arrays(config, x, dataset.labels(), hyper, log_stream)
-
-
-def _loss_single(params, config, x, label: int) -> float:
-    logits, _, _, _ = _forward_batch(params, config, x)
-    shifted = logits[0] - logits[0].max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> float:
@@ -568,11 +566,10 @@ def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> 
     window = _check_window(config, window)
     params = init_params(config, seed)
     x = window[None, None, :, :]
-
-    logits, probs, _, cache = _forward_batch(params, config, x, keep_cache=True)
-    grad_logits = probs.copy()
-    grad_logits[0, label] -= 1.0
-    gks, gbs, gw, gb = _backward_batch(params, grad_logits, cache)
+    labels = np.array([label])
+    outputs = _forward_batch(params, config, x)
+    _, grad_logits = _cross_entropy(outputs, labels)
+    gks, gbs, gw, gb = _backward_batch(params, config, x, outputs, grad_logits)
 
     arrays = list(params.conv_kernels) + list(params.conv_biases)
     arrays += [params.dense_weights, params.dense_bias]
@@ -586,9 +583,9 @@ def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> 
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = _loss_single(params, config, x, label)
+            up, _ = _cross_entropy(_forward_batch(params, config, x), labels)
             flat[i] = orig - h
-            down = _loss_single(params, config, x, label)
+            down, _ = _cross_entropy(_forward_batch(params, config, x), labels)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             denom = max(abs(gflat[i]), abs(numeric), 1e-6)

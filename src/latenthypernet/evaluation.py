@@ -114,7 +114,6 @@ def run_cv(
     components: int = lhn.DEFAULT_COMPONENTS,
     seed: int = 0,
     folds: int = 10,
-    classifier: TrainingConfig | None = None,
     reduce: bool = True,
 ) -> CvResult:
     """Paired k-fold evaluation of the plain network and its latent hypernet.
@@ -122,10 +121,9 @@ def run_cv(
     Per fold: train the network on the other folds, score it on the held-out
     fold, fit the latent hypernet on the same training folds with the frozen
     network, and score it on the identical held-out windows. Per-fold seeds
-    are derived from the master seed as seed * 1000 + fold.
+    are derived from the master seed as seed * 1000 + fold; the latent
+    classifier trains with `hyper` and seed fold_seed + 1.
     """
-    if classifier is None:
-        classifier = hyper
     assignment = kfold_split(dataset.labels(), folds=folds, seed=seed)
     k = dataset.n_classes
     baseline_recalls = []
@@ -145,7 +143,7 @@ def run_cv(
             config,
             train_set,
             components=components,
-            classifier=replace(classifier, seed=fold_seed + 1),
+            classifier=replace(hyper, seed=fold_seed + 1),
             reduce=reduce,
         )
         lhn_pred = lhn.lhn_predict_dataset(model, params, config, test_set)

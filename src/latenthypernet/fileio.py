@@ -1,7 +1,6 @@
-"""Small file helpers: atomic writes and checksums."""
+"""Small file helpers: atomic writes."""
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 
@@ -24,11 +23,3 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

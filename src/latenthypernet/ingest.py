@@ -8,6 +8,7 @@ window are dropped.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,19 @@ def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
             values = []
             for name, i in zip(schema.channel_columns, channel_is):
                 try:
-                    values.append(float(row[i]))
+                    value = float(row[i])
                 except (ValueError, IndexError):
                     cell = row[i] if i < len(row) else "<missing>"
                     raise ParseError(
                         f"{path}: line {line_no}, column {name!r}: "
                         f"cannot parse {cell.strip()!r} as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: line {line_no}, column {name!r}: "
+                        f"{row[i].strip()!r} is not a finite number"
+                    )
+                values.append(value)
             key = (label, subject)
             if key != run_key:
                 close_run()

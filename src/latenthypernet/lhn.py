@@ -25,7 +25,6 @@ from .convnet import NetworkConfig, NetworkParams, TrainingConfig
 from .errors import (
     DegenerateClassError,
     FormatError,
-    InputError,
     ParameterError,
     ShapeError,
     UnsupportedVersionError,
@@ -36,8 +35,6 @@ MODEL_FORMAT = "lhn-model"
 MODEL_VERSION = 2
 
 DEFAULT_COMPONENTS = 19
-
-_COLLECT_CHUNK = 256
 
 
 @dataclass
@@ -79,18 +76,8 @@ def collect_pool_features(
     Flattening is row-major over (map, row, column). The network parameters
     are only read.
     """
-    if len(dataset) == 0:
-        raise InputError("dataset is empty")
-    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
-        raise ShapeError(
-            f"dataset windows are {dataset.window_len}x{dataset.channels} but the "
-            f"network expects {config.input_h}x{config.input_w}"
-        )
-    x = dataset.stacked()[:, None, :, :]
-    chunks = [
-        convnet._forward_taps(params, config, x[start : start + _COLLECT_CHUNK])[2]
-        for start in range(0, x.shape[0], _COLLECT_CHUNK)
-    ]
+    x = convnet._dataset_batch(config, dataset)
+    chunks = [convnet._forward_taps(params, config, chunk)[1] for chunk in convnet._chunks(x)]
     return [np.concatenate(layer, axis=0) for layer in zip(*chunks)]
 
 
@@ -175,7 +162,7 @@ def lhn_transform(
 ) -> np.ndarray:
     """Latent feature vector of one window: per-layer projections, in order."""
     window = convnet._check_window(config, window)
-    _, _, taps = convnet._forward_taps(params, config, window[None, None, :, :])
+    _, taps = convnet._forward_taps(params, config, window[None, None, :, :])
     return _project_taps(model, taps)[0]
 
 

@@ -91,6 +91,22 @@ class TestPresets:
         assert convs[0].kernel_w == 2
         assert convs[1].kernel_w == 1  # maps are 1 wide after the first conv
 
+    def test_pool_other_than_two_by_one_rejected(self):
+        cfg = convnet.NetworkConfig(
+            name="pool3",
+            layers=(
+                convnet.conv(2, 3, 2),
+                convnet.LayerSpec("maxpool", pool_h=3),
+                convnet.flatten(),
+                convnet.dense(3),
+                convnet.softmax(),
+            ),
+            input_h=12,
+            input_w=2,
+        )
+        with pytest.raises(ArchitectureError, match=r"layer 2 \(maxpool\).*got 3x1"):
+            convnet.init_params(cfg, 0)
+
     def test_unknown_name(self):
         with pytest.raises(ParameterError):
             convnet.preset("convnet9", 100, 2, 4)
@@ -192,6 +208,22 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             convnet.maxpool_forward(np.zeros((1, 1, 3)))
 
+    def test_backward_routes_ties_to_upper_row(self):
+        # pair 1 ties in both columns; pair 2 has the lower row larger in
+        # column 0 and a tie in column 1; pair 3 has the upper row larger
+        x = np.array([[[4.0, -1.0], [4.0, -1.0], [1.0, 0.0], [2.0, 0.0], [3.0, 5.0], [1.0, 2.0]]])
+        _, arg = convnet.maxpool_forward(x)
+        grad_out = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
+        grad_x = convnet._maxpool_backward_batch(grad_out[None], x[None])[0]
+        expected = [[[1.0, 2.0], [0.0, 0.0], [0.0, 4.0], [3.0, 0.0], [5.0, 6.0], [0.0, 0.0]]]
+        assert np.array_equal(grad_x, expected)
+        assert np.array_equal(arg, [[[0, 0], [1, 0], [0, 0]]])
+
+    def test_backward_odd_row_gets_no_gradient(self):
+        x = np.array([[[1.0], [2.0], [9.0]]])
+        grad_x = convnet._maxpool_backward_batch(np.array([[[[7.0]]]]), x[None])[0]
+        assert np.array_equal(grad_x, [[[0.0], [7.0], [0.0]]])
+
     def test_shift_within_pair_keeps_value(self):
         a = np.array([[[9.0], [0.0], [1.0], [2.0]]])
         b = np.array([[[0.0], [9.0], [1.0], [2.0]]])
@@ -250,6 +282,21 @@ class TestPredict:
         params, cfg = self.params_with_bias([0.1, 0.9])
         assert convnet.predict(params, cfg, np.zeros((1, 1))) == 1
 
+    def test_dataset_of_other_window_shape(self):
+        cfg = convnet.preset("convnet1", 64, 2, 4)
+        params = convnet.init_params(cfg, 0)
+        ds = synthetic.make_synthetic_dataset(n_windows=8, window_len=80, seed=0)
+        with pytest.raises(ShapeError, match="80x2"):
+            convnet.predict_dataset(params, cfg, ds)
+
+    def test_dataset_larger_than_one_chunk(self):
+        cfg = toy_config()
+        params = convnet.init_params(cfg, 4)
+        n = 2 * convnet._CHUNK + 8
+        ds = synthetic.make_synthetic_dataset(n_windows=n, window_len=10, seed=2)
+        labels = convnet.predict_dataset(params, cfg, ds)
+        assert labels.tolist() == [convnet.predict(params, cfg, w.values) for w in ds.windows]
+
     def test_tie_goes_low(self):
         params, cfg = self.params_with_bias([0.5, 0.5])
         assert convnet.predict(params, cfg, np.zeros((1, 1))) == 0
@@ -307,10 +354,10 @@ class TestGradCheck:
         params.dense_weights = np.zeros_like(params.dense_weights)
         x = np.zeros((1, 1, 10, 2))
         label = 2
-        logits, probs, _, cache = convnet._forward_batch(params, cfg, x, keep_cache=True)
-        grad_logits = probs.copy()
+        outputs = convnet._forward_batch(params, cfg, x)
+        grad_logits = outputs[-1].copy()
         grad_logits[0, label] -= 1.0
-        _, _, _, gb = convnet._backward_batch(params, grad_logits, cache)
+        _, _, _, gb = convnet._backward_batch(params, cfg, x, outputs, grad_logits)
         expected = np.full(4, 0.25)
         expected[label] -= 1.0
         assert np.array_equal(gb, expected)
@@ -410,6 +457,13 @@ class TestPersistence:
         payload["dense_bias"][0] = float("nan")
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError, match="dense_bias"):
+            convnet.load_params(path)
+
+    def test_unsupported_pool_spec_rejected(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["config"]["layers"][1]["pool_w"] = 2
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=": config: .*got 2x2"):
             convnet.load_params(path)
 
     def test_infeasible_config_rejected(self, tmp_path):

@@ -64,6 +64,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3"):
             ingest.load_csv(path, SCHEMA_2CH)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"label,ax,ay\nwalk,1,2\nwalk,3,{cell}\n")
+        with pytest.raises(ParseError, match=f"line 3, column 'ay': '{cell}' is not a finite"):
+            ingest.load_csv(path, SCHEMA_2CH)
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "label,ax\nwalk,1\n")
         with pytest.raises(SchemaError, match="ay"):

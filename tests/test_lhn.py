@@ -48,7 +48,7 @@ def test_tap_flattening_is_map_row_column(trained):
             )
             ci += 1
         elif spec.kind == "maxpool":
-            cur, _ = convnet._maxpool_forward_batch(cur)
+            cur = convnet._maxpool_forward_batch(cur)
             pooled = cur[0]
             break
     assert np.array_equal(trace.pool_taps[0], pooled.reshape(-1))
