@@ -212,6 +212,15 @@ def _load_lhn_pair(cfg: RunConfig):
     return params, config, model
 
 
+def _require_windows(dataset, config, params_path: str) -> None:
+    """Refuse (exit 2) data whose windows are not the shape the network was built for."""
+    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
+        raise ParameterError(
+            f"data windows are {dataset.window_len}x{dataset.channels} but "
+            f"{params_path} expects {config.input_h}x{config.input_w}"
+        )
+
+
 def cmd_train(cfg: RunConfig) -> int:
     from . import convnet
 
@@ -235,11 +244,7 @@ def cmd_lhn_fit(cfg: RunConfig) -> int:
     params_path = _require_file(cfg.params, "params")
     params, config = convnet.load_params(params_path)
     dataset = _load_dataset(cfg)
-    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
-        raise ParameterError(
-            f"data windows are {dataset.window_len}x{dataset.channels} but "
-            f"{params_path} expects {config.input_h}x{config.input_w}"
-        )
+    _require_windows(dataset, config, params_path)
     model = lhn.lhn_fit(
         params,
         config,
@@ -301,11 +306,7 @@ def cmd_benchmark_time(cfg: RunConfig) -> int:
 
     params, config, model = _load_lhn_pair(cfg)
     dataset = _load_dataset(cfg)
-    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
-        raise ParameterError(
-            f"data windows are {dataset.window_len}x{dataset.channels} but the "
-            f"models expect {config.input_h}x{config.input_w}"
-        )
+    _require_windows(dataset, config, cfg.params)
     report = evaluation.timing_benchmark(
         lambda w: convnet.predict(params, config, w),
         lambda w: lhn.lhn_predict(model, params, config, w),
@@ -359,6 +360,7 @@ def cmd_project(cfg: RunConfig) -> int:
 
     params, config, model = _load_lhn_pair(cfg)
     dataset = _load_dataset(cfg)
+    _require_windows(dataset, config, cfg.params)
     out = _out_path(cfg, f"projection_{cfg.layers}.csv")
     rows = lhn.export_projection(
         model, params, config, dataset, layer_selector=cfg.layers, out_path=out

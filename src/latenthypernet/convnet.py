@@ -1,9 +1,13 @@
 """Small trainable 2D convolutional networks over (time x channel) windows.
 
+A network is k >= 0 stages of (conv, maxpool) followed by one head of
+flatten, dense, softmax; no other layer order is accepted. propagate_shapes
+checks that order and every extent, and it runs when a preset is built,
+when parameters are initialized and when a params file is loaded; the
+forward, the backward and training then walk the stages by position.
 Convolutions are valid (no padding), stride 1, cross-correlation semantics,
-each followed by a ReLU and a 2x1 max-pooling stage; the tail is flatten,
-one fully connected layer and a softmax. Backpropagation is written out by
-hand and validated against central finite differences (grad_check).
+each followed by a ReLU; every pooling is 2x1. Backpropagation is written
+out by hand and validated against central finite differences (grad_check).
 
 There is one convolution primitive and one batched forward path, which
 returns every layer's output; a single window runs as a batch of one. The
@@ -22,6 +26,7 @@ steps across 2 channels.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -87,13 +92,10 @@ class NetworkConfig:
 
     @property
     def n_classes(self) -> int:
-        for spec in self.layers:
-            if spec.kind == "dense":
-                return spec.units
-        raise ArchitectureError(f"{self.name}: network has no dense layer")
+        return propagate_shapes(self)[-1][0]
 
     def pool_layer_count(self) -> int:
-        return sum(1 for spec in self.layers if spec.kind == "maxpool")
+        return (len(propagate_shapes(self)) - 3) // 2
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,10 @@ class NetworkParams:
     conv_biases: list[np.ndarray]  # each [filters]
     dense_weights: np.ndarray  # [flat_dim, units]
     dense_bias: np.ndarray  # [units]
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every parameter array, in the one order gradients and digests use."""
+        return [*self.conv_kernels, *self.conv_biases, self.dense_weights, self.dense_bias]
 
 
 @dataclass(frozen=True)
@@ -161,82 +167,56 @@ def preset(name: str, input_h: int, input_w: int, n_classes: int) -> NetworkConf
 
 
 def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
-    """Output shape of every layer, validating structure and extents.
+    """Output shape of every layer, validating the layer order and extents.
 
-    Shapes are (maps, h, w) until flatten, then (units,). Conv layers must
-    be immediately followed by a maxpool, and every maxpool is 2x1; the
-    tail must be flatten, dense, softmax.
+    The one accepted order is k stages of (conv, maxpool), k >= 0, then
+    flatten, dense, softmax; every maxpool is 2x1. Shapes are (maps, h, w)
+    through the stages, then (units,).
     """
+    kinds = tuple(spec.kind for spec in config.layers)
+    expected = ("conv", "maxpool") * kinds.count("conv") + ("flatten", "dense", "softmax")
+    for i, (kind, want) in enumerate(itertools.zip_longest(kinds, expected)):
+        if kind != want:
+            raise ArchitectureError(
+                f"{config.name}: layer {i + 1} ({kind or 'missing'}) breaks the layer order, "
+                f"expected {want or 'no further layer'}: a network is (conv, maxpool) * k, "
+                f"then flatten, dense, softmax"
+            )
     shapes: list[tuple[int, ...]] = []
     maps, h, w = 1, config.input_h, config.input_w
-    flat: int | None = None
-    for i, spec in enumerate(config.layers):
-        where = f"{config.name}: layer {i + 1} ({spec.kind})"
-        if spec.kind == "conv":
-            if flat is not None:
-                raise ArchitectureError(f"{where} appears after flatten")
-            nxt = config.layers[i + 1] if i + 1 < len(config.layers) else None
-            if nxt is None or nxt.kind != "maxpool":
-                raise ArchitectureError(f"{where} must be immediately followed by a maxpool")
-            h = h - spec.kernel_h + 1
-            w = w - spec.kernel_w + 1
-            maps = spec.filters
-            if h < 1 or w < 1:
-                raise ArchitectureError(
-                    f"{where} with kernel {spec.kernel_h}x{spec.kernel_w} "
-                    f"would produce a {h}x{w} map"
-                )
-            shapes.append((maps, h, w))
-        elif spec.kind == "maxpool":
-            if flat is not None:
-                raise ArchitectureError(f"{where} appears after flatten")
-            if (spec.pool_h, spec.pool_w) != (2, 1):
-                raise ArchitectureError(
-                    f"{where}: only 2x1 pooling is supported, got {spec.pool_h}x{spec.pool_w}"
-                )
-            h = h // 2
-            if h < 1:
-                raise ArchitectureError(f"{where} would produce a {h}-row map")
-            shapes.append((maps, h, w))
-        elif spec.kind == "flatten":
-            flat = maps * h * w
-            shapes.append((flat,))
-        elif spec.kind == "dense":
-            if flat is None:
-                raise ArchitectureError(f"{where} must come after flatten")
-            if spec.units < 1:
-                raise ArchitectureError(f"{where} needs at least 1 unit")
-            flat = spec.units
-            shapes.append((flat,))
-        elif spec.kind == "softmax":
-            if flat is None:
-                raise ArchitectureError(f"{where} must come after flatten")
-            shapes.append((flat,))
-        else:
-            raise ArchitectureError(f"{where}: unknown layer kind")
-    if not shapes or config.layers[-1].kind != "softmax":
-        raise ArchitectureError(f"{config.name}: network must end with a softmax layer")
-    return shapes
+    for i in range(0, len(config.layers) - 3, 2):
+        spec, pool = config.layers[i], config.layers[i + 1]
+        h, w, maps = h - spec.kernel_h + 1, w - spec.kernel_w + 1, spec.filters
+        if h < 1 or w < 1:
+            raise ArchitectureError(
+                f"{config.name}: layer {i + 1} (conv) with kernel "
+                f"{spec.kernel_h}x{spec.kernel_w} would produce a {h}x{w} map"
+            )
+        shapes.append((maps, h, w))
+        where = f"{config.name}: layer {i + 2} (maxpool)"
+        if (pool.pool_h, pool.pool_w) != (2, 1):
+            raise ArchitectureError(
+                f"{where}: only 2x1 pooling is supported, got {pool.pool_h}x{pool.pool_w}"
+            )
+        h = h // 2
+        if h < 1:
+            raise ArchitectureError(f"{where} would produce a {h}-row map")
+        shapes.append((maps, h, w))
+    units = config.layers[-2].units
+    if units < 1:
+        raise ArchitectureError(
+            f"{config.name}: layer {len(config.layers) - 1} (dense) needs at least 1 unit"
+        )
+    return shapes + [(maps * h * w,), (units,), (units,)]
 
 
 def _param_shapes(config: NetworkConfig):
-    """Kernel shapes [filters, in_maps, kh, kw] per conv layer, and the dense weight shape."""
+    """Kernel shapes [filters, in_maps, kh, kw] per stage, and the dense weight shape."""
     shapes = propagate_shapes(config)
-    kernels: list[tuple[int, ...]] = []
-    maps = 1
-    prev_flat = 0
-    dense_shape = None
-    for spec, shape in zip(config.layers, shapes):
-        if spec.kind == "conv":
-            kernels.append((spec.filters, maps, spec.kernel_h, spec.kernel_w))
-            maps = spec.filters
-        elif spec.kind == "dense":
-            dense_shape = (prev_flat, spec.units)
-        if len(shape) == 1:
-            prev_flat = shape[0]
-    if dense_shape is None:
-        raise ArchitectureError(f"{config.name}: network has no dense layer")
-    return kernels, dense_shape
+    convs = config.layers[:-3:2]
+    in_maps = [1] + [spec.filters for spec in convs[:-1]]
+    kernels = [(spec.filters, m, spec.kernel_h, spec.kernel_w) for spec, m in zip(convs, in_maps)]
+    return kernels, (shapes[-3][0], shapes[-2][0])
 
 
 def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
@@ -320,68 +300,51 @@ def _maxpool_backward_batch(grad_out, x):
     return grad_x
 
 
-def _forward_batch(params, config, x):
+def _forward_batch(params, x):
     """Run a [b, 1, h, w] batch through the network.
 
-    Returns every layer's output for the whole batch, in layer order. The
-    network ends in dense, softmax, so the logits are outputs[-2] and the
-    class probabilities outputs[-1]. The backward reads these outputs.
+    Returns every layer's output for the whole batch, in layer order: conv
+    and pool per stage, then flatten, the logits and the class
+    probabilities. The backward reads these outputs.
     """
     outputs = []
     cur = x
-    ci = 0
-    for spec in config.layers:
-        if spec.kind == "conv":
-            out = _conv_forward_batch(cur, params.conv_kernels[ci], params.conv_biases[ci])
-            cur = np.maximum(out, 0.0, out=out)  # in place: every layer output is kept
-            ci += 1
-        elif spec.kind == "maxpool":
-            cur = _maxpool_forward_batch(cur)
-        elif spec.kind == "flatten":
-            cur = cur.reshape(cur.shape[0], -1)
-        elif spec.kind == "dense":
-            cur = cur @ params.dense_weights + params.dense_bias
-        elif spec.kind == "softmax":
-            e = np.exp(cur - cur.max(axis=1, keepdims=True))
-            cur = e / e.sum(axis=1, keepdims=True)
-        outputs.append(cur)
-    return outputs
+    for kernels, biases in zip(params.conv_kernels, params.conv_biases):
+        out = _conv_forward_batch(cur, kernels, biases)
+        cur = _maxpool_forward_batch(np.maximum(out, 0.0, out=out))  # in place: out is kept
+        outputs += [out, cur]
+    flat = cur.reshape(cur.shape[0], -1)
+    logits = flat @ params.dense_weights + params.dense_bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return outputs + [flat, logits, e / e.sum(axis=1, keepdims=True)]
 
 
-def _forward_taps(params, config, x):
+def _forward_taps(params, x):
     """(outputs, taps): taps hold each pool output as [b, maps * rows * columns]."""
-    outputs = _forward_batch(params, config, x)
-    pools = (out for spec, out in zip(config.layers, outputs) if spec.kind == "maxpool")
-    return outputs, [out.reshape(out.shape[0], -1) for out in pools]
+    outputs = _forward_batch(params, x)
+    return outputs, [out.reshape(out.shape[0], -1) for out in outputs[1:-3:2]]
 
 
-def _backward_batch(params, config, x, outputs, grad_logits):
-    """Gradients per parameter array; layer i's input is outputs[i - 1], or x for i = 0."""
-    grad_kernels = [None] * len(params.conv_kernels)
-    grad_biases = [None] * len(params.conv_biases)
-    grad_dense_w = grad_dense_b = None
-    g = grad_logits
-    ci = len(params.conv_kernels)
-    for i in reversed(range(len(config.layers) - 1)):  # grad_logits is past the softmax
-        kind = config.layers[i].kind
-        inp = outputs[i - 1] if i else x
-        if kind == "dense":
-            grad_dense_w = inp.T @ g
-            grad_dense_b = g.sum(axis=0)
-            g = g @ params.dense_weights.T
-        elif kind == "flatten":
-            g = g.reshape(inp.shape)
-        elif kind == "maxpool":
-            g = _maxpool_backward_batch(g, inp)
-        elif kind == "conv":
-            ci -= 1
-            g = g * (outputs[i] > 0.0)
-            kernels = params.conv_kernels[ci]
-            if ci == 0:  # its input is the data: nothing upstream needs that gradient
-                grad_kernels[0], grad_biases[0] = _conv_kernel_grads(inp, kernels, g)
-                break
-            grad_kernels[ci], grad_biases[ci], g = _conv_backward_batch(inp, kernels, g)
-    return grad_kernels, grad_biases, grad_dense_w, grad_dense_b
+def _backward_batch(params, x, outputs, grad_logits):
+    """Gradients in NetworkParams.arrays() order.
+
+    Stage s's conv output is outputs[2s] and its pool output outputs[2s + 1];
+    the flattened last pool output is outputs[-3].
+    """
+    n = len(params.conv_kernels)
+    grad_kernels, grad_biases = [None] * n, [None] * n
+    g = grad_logits @ params.dense_weights.T
+    for s in reversed(range(n)):
+        conv_out = outputs[2 * s]
+        g = _maxpool_backward_batch(g.reshape(outputs[2 * s + 1].shape), conv_out)
+        g = g * (conv_out > 0.0)
+        if s == 0:  # its input is the data: nothing upstream needs that gradient
+            grad_kernels[0], grad_biases[0] = _conv_kernel_grads(x, params.conv_kernels[0], g)
+        else:
+            grad_kernels[s], grad_biases[s], g = _conv_backward_batch(
+                outputs[2 * s - 1], params.conv_kernels[s], g
+            )
+    return grad_kernels + grad_biases + [outputs[-3].T @ grad_logits, grad_logits.sum(axis=0)]
 
 
 def _cross_entropy(outputs, labels):
@@ -441,14 +404,14 @@ def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> F
     The window runs as a batch of one; the trace holds views into that run.
     """
     window = _check_window(config, window)
-    outputs, taps = _forward_taps(params, config, window[None, None, :, :])
+    outputs, taps = _forward_taps(params, window[None, None, :, :])
     return ForwardTrace(tuple(out[0] for out in outputs), tuple(t[0] for t in taps), outputs[-2][0])
 
 
 def predict(params: NetworkParams, config: NetworkConfig, window) -> int:
     """Class index with the largest logit; ties go to the lowest index."""
     window = _check_window(config, window)
-    logits = _forward_batch(params, config, window[None, None, :, :])[-2]
+    logits = _forward_batch(params, window[None, None, :, :])[-2]
     return int(np.argmax(logits[0]))
 
 
@@ -473,7 +436,7 @@ def predict_dataset(params: NetworkParams, config: NetworkConfig, dataset: Datas
     """Vectorized predict over a whole dataset, in chunks of _CHUNK windows."""
     x = _dataset_batch(config, dataset)
     return np.concatenate(
-        [np.argmax(_forward_batch(params, config, chunk)[-2], axis=1) for chunk in _chunks(x)]
+        [np.argmax(_forward_batch(params, chunk)[-2], axis=1) for chunk in _chunks(x)]
     )
 
 
@@ -507,10 +470,7 @@ def train_arrays(
     params = init_params(config, hyper.seed)
     shuffle_rng = np.random.default_rng(hyper.seed + 1)
 
-    vel_k = [np.zeros_like(a) for a in params.conv_kernels]
-    vel_kb = [np.zeros_like(a) for a in params.conv_biases]
-    vel_w = np.zeros_like(params.dense_weights)
-    vel_b = np.zeros_like(params.dense_bias)
+    velocities = [np.zeros_like(a) for a in params.arrays()]
     lr, mom = hyper.learning_rate, hyper.momentum
 
     for epoch in range(1, hyper.epochs + 1):
@@ -520,7 +480,7 @@ def train_arrays(
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             xb, yb = x[idx], labels[idx]
-            outputs = _forward_batch(params, config, xb)
+            outputs = _forward_batch(params, xb)
             batch_loss, grad_logits = _cross_entropy(outputs, yb)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"loss became non-finite in epoch {epoch}")
@@ -528,17 +488,11 @@ def train_arrays(
             preds[idx] = np.argmax(outputs[-2], axis=1)
 
             grad_logits /= len(idx)
-            gks, gbs, gw, gb = _backward_batch(params, config, xb, outputs, grad_logits)
-
-            for i, gk in enumerate(gks):
-                vel_k[i] = mom * vel_k[i] - lr * gk
-                params.conv_kernels[i] = params.conv_kernels[i] + vel_k[i]
-                vel_kb[i] = mom * vel_kb[i] - lr * gbs[i]
-                params.conv_biases[i] = params.conv_biases[i] + vel_kb[i]
-            vel_w = mom * vel_w - lr * gw
-            params.dense_weights = params.dense_weights + vel_w
-            vel_b = mom * vel_b - lr * gb
-            params.dense_bias = params.dense_bias + vel_b
+            grads = _backward_batch(params, xb, outputs, grad_logits)
+            for arr, vel, grad in zip(params.arrays(), velocities, grads):
+                vel *= mom
+                vel -= lr * grad
+                arr += vel
 
         if log_stream is not None:
             recall = _macro_recall(labels, preds, k)
@@ -567,25 +521,21 @@ def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> 
     params = init_params(config, seed)
     x = window[None, None, :, :]
     labels = np.array([label])
-    outputs = _forward_batch(params, config, x)
+    outputs = _forward_batch(params, x)
     _, grad_logits = _cross_entropy(outputs, labels)
-    gks, gbs, gw, gb = _backward_batch(params, config, x, outputs, grad_logits)
-
-    arrays = list(params.conv_kernels) + list(params.conv_biases)
-    arrays += [params.dense_weights, params.dense_bias]
-    grads = list(gks) + list(gbs) + [gw, gb]
+    grads = _backward_batch(params, x, outputs, grad_logits)
 
     h = 1e-5
     worst = 0.0
-    for arr, grad in zip(arrays, grads):
+    for arr, grad in zip(params.arrays(), grads):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = _cross_entropy(_forward_batch(params, config, x), labels)
+            up, _ = _cross_entropy(_forward_batch(params, x), labels)
             flat[i] = orig - h
-            down, _ = _cross_entropy(_forward_batch(params, config, x), labels)
+            down, _ = _cross_entropy(_forward_batch(params, x), labels)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             denom = max(abs(gflat[i]), abs(numeric), 1e-6)
@@ -728,8 +678,6 @@ def params_digest(params: NetworkParams) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    for arr in params.conv_kernels + params.conv_biases:
+    for arr in params.arrays():
         h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(np.ascontiguousarray(params.dense_weights).tobytes())
-    h.update(np.ascontiguousarray(params.dense_bias).tobytes())
     return h.hexdigest()

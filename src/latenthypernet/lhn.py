@@ -77,7 +77,7 @@ def collect_pool_features(
     are only read.
     """
     x = convnet._dataset_batch(config, dataset)
-    chunks = [convnet._forward_taps(params, config, chunk)[1] for chunk in convnet._chunks(x)]
+    chunks = [convnet._forward_taps(params, chunk)[1] for chunk in convnet._chunks(x)]
     return [np.concatenate(layer, axis=0) for layer in zip(*chunks)]
 
 
@@ -162,7 +162,7 @@ def lhn_transform(
 ) -> np.ndarray:
     """Latent feature vector of one window: per-layer projections, in order."""
     window = convnet._check_window(config, window)
-    _, taps = convnet._forward_taps(params, config, window[None, None, :, :])
+    _, taps = convnet._forward_taps(params, window[None, None, :, :])
     return _project_taps(model, taps)[0]
 
 

@@ -157,6 +157,25 @@ def test_lhn_fit_window_mismatch(trained_files, capsys):
     assert "expects 40x2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["benchmark-time", "project"])
+def test_window_mismatch_with_a_model_pair_exits_two(trained_files, tmp_path, command, capsys):
+    data_csv, params_path, model_path = trained_files
+    rc = cli.main(
+        [
+            command,
+            "--data", str(data_csv),
+            "--rate", str(RATE),
+            "--window-seconds", "2.5",
+            "--params", str(params_path),
+            "--lhn-model", str(model_path),
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert "expects 40x2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_evaluate_is_deterministic_per_seed(data_csv, tmp_path):
     outputs = []
     for name in ("a", "b"):

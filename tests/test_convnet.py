@@ -107,6 +107,20 @@ class TestPresets:
         with pytest.raises(ArchitectureError, match=r"layer 2 \(maxpool\).*got 3x1"):
             convnet.init_params(cfg, 0)
 
+    @pytest.mark.parametrize(
+        "tail, first_wrong",
+        [
+            ((convnet.dense(3), convnet.dense(3), convnet.softmax()), 3),
+            ((convnet.dense(3), convnet.softmax(), convnet.dense(3), convnet.softmax()), 4),
+        ],
+    )
+    def test_head_other_than_one_dense_then_softmax_rejected(self, tail, first_wrong):
+        cfg = convnet.NetworkConfig(
+            name="tail", layers=(convnet.flatten(), *tail), input_h=4, input_w=2
+        )
+        with pytest.raises(ArchitectureError, match=rf"layer {first_wrong} \(dense\)"):
+            convnet.init_params(cfg, 0)
+
     def test_unknown_name(self):
         with pytest.raises(ParameterError):
             convnet.preset("convnet9", 100, 2, 4)
@@ -354,10 +368,10 @@ class TestGradCheck:
         params.dense_weights = np.zeros_like(params.dense_weights)
         x = np.zeros((1, 1, 10, 2))
         label = 2
-        outputs = convnet._forward_batch(params, cfg, x)
+        outputs = convnet._forward_batch(params, x)
         grad_logits = outputs[-1].copy()
         grad_logits[0, label] -= 1.0
-        _, _, _, gb = convnet._backward_batch(params, cfg, x, outputs, grad_logits)
+        gb = convnet._backward_batch(params, x, outputs, grad_logits)[-1]
         expected = np.full(4, 0.25)
         expected[label] -= 1.0
         assert np.array_equal(gb, expected)
@@ -464,6 +478,16 @@ class TestPersistence:
         payload["config"]["layers"][1]["pool_w"] = 2
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError, match=": config: .*got 2x2"):
+            convnet.load_params(path)
+
+    @pytest.mark.parametrize("tail", ["dense dense softmax", "dense softmax dense softmax"])
+    def test_stored_head_with_a_second_dense_rejected(self, tmp_path, tail):
+        path, payload = self.saved_payload(tmp_path)
+        layers = payload["config"]["layers"]
+        by_kind = {"dense": layers[-2], "softmax": layers[-1]}  # dense(4), softmax
+        layers[-2:] = [by_kind[kind] for kind in tail.split()]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=": config: .*dense"):
             convnet.load_params(path)
 
     def test_infeasible_config_rejected(self, tmp_path):
