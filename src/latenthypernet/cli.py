@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -261,7 +260,7 @@ def cmd_lhn_fit(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     from . import convnet, evaluation
-    from .fileio import atomic_write_text
+    from .fileio import write_csv
 
     dataset = _load_dataset(cfg)
     config = convnet.preset(cfg.arch, dataset.window_len, dataset.channels, dataset.n_classes)
@@ -276,22 +275,22 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    folds_buf = io.StringIO()
-    writer = csv.writer(folds_buf, lineterminator="\n")
-    writer.writerow(["fold", "system", "recall"])
+    rows = [["fold", "system", "recall"]]
     for fold in range(result.folds):
-        writer.writerow([fold, "convnet", f"{result.baseline_recalls[fold]:.6f}"])
-        writer.writerow([fold, "lhn", f"{result.lhn_recalls[fold]:.6f}"])
+        rows.append([fold, "convnet", f"{result.baseline_recalls[fold]:.6f}"])
+        rows.append([fold, "lhn", f"{result.lhn_recalls[fold]:.6f}"])
     folds_path = os.path.join(cfg.out_dir, "cv_folds.csv")
-    atomic_write_text(folds_path, folds_buf.getvalue())
+    write_csv(folds_path, rows)
 
-    summary_buf = io.StringIO()
-    writer = csv.writer(summary_buf, lineterminator="\n")
-    writer.writerow(["system", "mean_recall", "improvement_pp"])
-    writer.writerow(["convnet", f"{result.mean_baseline:.6f}", ""])
-    writer.writerow(["lhn", f"{result.mean_lhn:.6f}", f"{result.improvement_pp:.4f}"])
     summary_path = os.path.join(cfg.out_dir, "cv_summary.csv")
-    atomic_write_text(summary_path, summary_buf.getvalue())
+    write_csv(
+        summary_path,
+        [
+            ["system", "mean_recall", "improvement_pp"],
+            ["convnet", f"{result.mean_baseline:.6f}", ""],
+            ["lhn", f"{result.mean_lhn:.6f}", f"{result.improvement_pp:.4f}"],
+        ],
+    )
 
     print(f"convnet mean recall: {result.mean_baseline:.4f}")
     print(f"lhn mean recall:     {result.mean_lhn:.4f}")
@@ -302,7 +301,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_benchmark_time(cfg: RunConfig) -> int:
     from . import convnet, evaluation, lhn
-    from .fileio import atomic_write_text
+    from .fileio import write_csv
 
     params, config, model = _load_lhn_pair(cfg)
     dataset = _load_dataset(cfg)
@@ -316,25 +315,19 @@ def cmd_benchmark_time(cfg: RunConfig) -> int:
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    runs_buf = io.StringIO()
-    writer = csv.writer(runs_buf, lineterminator="\n")
-    writer.writerow(["run", "system", "mean_prediction_seconds"])
+    rows = [["run", "system", "mean_prediction_seconds"]]
     for r in range(report.runs):
-        writer.writerow([r, "convnet", repr(float(report.samples_a[r]))])
-        writer.writerow([r, "lhn", repr(float(report.samples_b[r]))])
+        rows.append([r, "convnet", repr(float(report.samples_a[r]))])
+        rows.append([r, "lhn", repr(float(report.samples_b[r]))])
     runs_path = os.path.join(cfg.out_dir, "timing.csv")
-    atomic_write_text(runs_path, runs_buf.getvalue())
+    write_csv(runs_path, rows)
 
-    summary_buf = io.StringIO()
-    writer = csv.writer(summary_buf, lineterminator="\n")
-    writer.writerow(
-        ["system", "mean_seconds", "ci95_half_width", "t_statistic", "critical_value", "verdict"]
-    )
+    rows = [["system", "mean_seconds", "ci95_half_width", "t_statistic", "critical_value", "verdict"]]
     for system, mean, half in (
         ("convnet", report.mean_a, report.ci_half_a),
         ("lhn", report.mean_b, report.ci_half_b),
     ):
-        writer.writerow(
+        rows.append(
             [
                 system,
                 repr(float(mean)),
@@ -345,7 +338,7 @@ def cmd_benchmark_time(cfg: RunConfig) -> int:
             ]
         )
     summary_path = os.path.join(cfg.out_dir, "timing_summary.csv")
-    atomic_write_text(summary_path, summary_buf.getvalue())
+    write_csv(summary_path, rows)
 
     print(
         f"prediction time: {report.verdict} "

@@ -9,16 +9,20 @@ Convolutions are valid (no padding), stride 1, cross-correlation semantics,
 each followed by a ReLU; every pooling is 2x1. Backpropagation is written
 out by hand and validated against central finite differences (grad_check).
 
-There is one convolution primitive and one batched forward path, which
-returns every layer's output; a single window runs as a batch of one. The
-pool taps, the logits and everything the backward needs are read from those
-outputs. The backward reuses the forward convolution: a layer's input
-gradient is the forward convolution of its zero-padded output gradient with
-the kernels flipped and transposed, and its kernel gradient is one
-contraction over sliding input windows. The first conv's input gradient is
-never formed, since its input is the data. Pooling keeps no argmax: the
-backward compares each row pair again and routes the gradient to the upper
-row where it is >= the lower.
+There is one convolution primitive: each convolution is one contraction of
+the kernels with every kh x kw sliding window of its input, plus the bias.
+The forward is split into the trunk, which runs the conv/pool stages, and
+the head, which flattens the last pool output and runs the dense layer and
+softmax. The batched forward runs both and returns every layer's output; a
+single window runs as a batch of one. The logits and everything the
+backward needs are read from those outputs. The latent hypernet's pool taps
+come from the trunk alone, so it never runs the dense head. The backward
+reuses the forward convolution: a layer's input gradient is the forward
+convolution of its zero-padded output gradient with the kernels flipped and
+transposed, and its kernel gradient is one contraction over sliding input
+windows. The first conv's input gradient is never formed, since its input
+is the data. Pooling keeps no argmax: the backward compares each row pair
+again and routes the gradient to the upper row where it is >= the lower.
 
 A window enters the network as a single feature map of height t (time) and
 width equal to the channel count, so a kernel of shape 12x2 spans 12 time
@@ -242,23 +246,16 @@ def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
 
 
 def _conv_forward_batch(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    b, c, h, w = x.shape
-    f, ck, kh, kw = kernels.shape
+    _, c, h, w = x.shape
+    _, ck, kh, kw = kernels.shape
     if ck != c:
         raise ShapeError(f"kernel expects {ck} input maps, got {c}")
     if kh > h or kw > w:
         raise ShapeError(f"kernel {kh}x{kw} does not fit inside a {h}x{w} map")
-    oh, ow = h - kh + 1, w - kw + 1
-    out = np.broadcast_to(biases[None, :, None, None], (b, f, oh, ow)).copy()
-    for ki in range(kh):
-        for kj in range(kw):
-            out += np.einsum(
-                "bcij,fc->bfij",
-                x[:, :, ki : ki + oh, kj : kj + ow],
-                kernels[:, :, ki, kj],
-                optimize=True,
-            )
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.tensordot(windows, kernels, axes=([1, 4, 5], [1, 2, 3]))  # [b, oh, ow, filters]
+    out += biases
+    return out.transpose(0, 3, 1, 2)
 
 
 def _conv_kernel_grads(x, kernels, grad_out):
@@ -300,29 +297,38 @@ def _maxpool_backward_batch(grad_out, x):
     return grad_x
 
 
-def _forward_batch(params, x):
-    """Run a [b, 1, h, w] batch through the network.
-
-    Returns every layer's output for the whole batch, in layer order: conv
-    and pool per stage, then flatten, the logits and the class
-    probabilities. The backward reads these outputs.
-    """
+def _trunk(params, x):
+    """Conv and pool output of every stage for a [b, 1, h, w] batch, in layer order."""
     outputs = []
     cur = x
     for kernels, biases in zip(params.conv_kernels, params.conv_biases):
         out = _conv_forward_batch(cur, kernels, biases)
         cur = _maxpool_forward_batch(np.maximum(out, 0.0, out=out))  # in place: out is kept
         outputs += [out, cur]
-    flat = cur.reshape(cur.shape[0], -1)
+    return outputs
+
+
+def _forward_batch(params, x):
+    """Run a [b, 1, h, w] batch through the trunk and the head.
+
+    Returns every layer's output for the whole batch, in layer order: conv
+    and pool per stage, then flatten, the logits and the class
+    probabilities. The backward reads these outputs.
+    """
+    outputs = _trunk(params, x)
+    last = outputs[-1] if outputs else x
+    flat = last.reshape(last.shape[0], -1)
     logits = flat @ params.dense_weights + params.dense_bias
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return outputs + [flat, logits, e / e.sum(axis=1, keepdims=True)]
 
 
 def _forward_taps(params, x):
-    """(outputs, taps): taps hold each pool output as [b, maps * rows * columns]."""
-    outputs = _forward_batch(params, x)
-    return outputs, [out.reshape(out.shape[0], -1) for out in outputs[1:-3:2]]
+    """Pool taps of a [b, 1, h, w] batch, from the trunk alone.
+
+    Each tap is one pool output flattened to [b, maps * rows * columns].
+    """
+    return [out.reshape(out.shape[0], -1) for out in _trunk(params, x)[1::2]]
 
 
 def _backward_batch(params, x, outputs, grad_logits):
@@ -401,11 +407,12 @@ def _check_window(config: NetworkConfig, window: np.ndarray) -> np.ndarray:
 def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> ForwardTrace:
     """Forward one window, recording every layer output and pool tap.
 
-    The window runs as a batch of one; the trace holds views into that run.
+    The window runs as a batch of one; the layer outputs are views into that run.
     """
     window = _check_window(config, window)
-    outputs, taps = _forward_taps(params, window[None, None, :, :])
-    return ForwardTrace(tuple(out[0] for out in outputs), tuple(t[0] for t in taps), outputs[-2][0])
+    outputs = _forward_batch(params, window[None, None, :, :])
+    taps = tuple(out[0].reshape(-1) for out in outputs[1:-3:2])
+    return ForwardTrace(tuple(out[0] for out in outputs), taps, outputs[-2][0])
 
 
 def predict(params: NetworkParams, config: NetworkConfig, window) -> int:

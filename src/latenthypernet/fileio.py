@@ -1,6 +1,8 @@
 """Small file helpers: atomic writes."""
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 
@@ -23,3 +25,10 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_csv(path, rows) -> None:
+    """Write rows as CSV with "\\n" line endings, through atomic_write_text."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, buf.getvalue())

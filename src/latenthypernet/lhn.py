@@ -13,8 +13,6 @@ the reduction step contributes.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -77,7 +75,7 @@ def collect_pool_features(
     are only read.
     """
     x = convnet._dataset_batch(config, dataset)
-    chunks = [convnet._forward_taps(params, chunk)[1] for chunk in convnet._chunks(x)]
+    chunks = [convnet._forward_taps(params, chunk) for chunk in convnet._chunks(x)]
     return [np.concatenate(layer, axis=0) for layer in zip(*chunks)]
 
 
@@ -162,7 +160,7 @@ def lhn_transform(
 ) -> np.ndarray:
     """Latent feature vector of one window: per-layer projections, in order."""
     window = convnet._check_window(config, window)
-    _, taps = convnet._forward_taps(params, window[None, None, :, :])
+    taps = convnet._forward_taps(params, window[None, None, :, :])
     return _project_taps(model, taps)[0]
 
 
@@ -225,14 +223,12 @@ def export_projection(
         for (c1, c2), w in zip(coords, dataset.windows)
     ]
     if out_path is not None:
-        from .fileio import atomic_write_text
+        from .fileio import write_csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["comp1", "comp2", "label"])
-        for c1, c2, name in rows:
-            writer.writerow([repr(c1), repr(c2), name])
-        atomic_write_text(out_path, buf.getvalue())
+        write_csv(
+            out_path,
+            [["comp1", "comp2", "label"]] + [[repr(c1), repr(c2), name] for c1, c2, name in rows],
+        )
     return rows
 
 

@@ -9,12 +9,15 @@ the way NIPALS converges from its usual start, the first indicator column.
 The extracted rank-1 component is then deflated out of both blocks with
 loadings scaled by the squared score norm, ``p = X^T t / (t^T t)``, which
 keeps successive score vectors orthogonal.
+
+A fitted model folds its standardizer into the map when it is built, so a
+projection is one matrix product plus an offset, whether the model was just
+fitted or loaded from its payload.
 """
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +49,10 @@ class Standardizer:
 class PlsModel:
     """Projection weights plus the standardizer they were fitted behind.
 
-    weights has unit-norm columns; transforming standardizes the input and
-    multiplies by weights.
+    weights has unit-norm columns. The standardizer is folded into one
+    affine map when the model is built: transforming computes
+    ``X @ scaled_weights + offset``, which equals standardizing X and
+    multiplying by weights.
     """
 
     weights: np.ndarray  # [n_features, components]
@@ -55,6 +60,13 @@ class PlsModel:
     x_standardizer: Standardizer
     n_features: int
     n_classes: int
+    scaled_weights: np.ndarray = field(init=False, repr=False)  # weights / stds, per row
+    offset: np.ndarray = field(init=False, repr=False)  # -(means / stds) @ weights
+
+    def __post_init__(self):
+        s = self.x_standardizer
+        object.__setattr__(self, "scaled_weights", self.weights / s.stds[:, None])
+        object.__setattr__(self, "offset", -(s.means / s.stds) @ self.weights)
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,6 @@ class NipalsTrace:
     starting with the undeflated block (components + 1 entries).
     """
 
-    x_weights: np.ndarray  # [n_features, components]
     x_scores: np.ndarray  # [n_samples, components]
     y_weights: np.ndarray  # [n_classes, components]
     x_loadings: np.ndarray  # [n_features, components]
@@ -199,7 +210,6 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         n_classes=k,
     )
     trace = NipalsTrace(
-        x_weights=W.copy(),
         x_scores=T,
         y_weights=Q,
         x_loadings=P,
@@ -215,14 +225,13 @@ def nipals_fit(X, Y, components: int) -> PlsModel:
 
 
 def pls_transform(model: PlsModel, X) -> np.ndarray:
-    """Project raw features: standardize, then multiply by the weights."""
+    """Project raw features through the folded map: one GEMM plus the offset."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ShapeError(
             f"expected [n x {model.n_features}] input, got {X.shape}"
         )
-    Z = standardize_apply(model.x_standardizer, X)
-    return Z @ model.weights
+    return X @ model.scaled_weights + model.offset
 
 
 def model_payload(model: PlsModel) -> dict:
@@ -270,18 +279,3 @@ def model_from_payload(payload: dict, source: str = "<payload>") -> PlsModel:
         n_classes=k,
     )
 
-
-def save_model(model: PlsModel, path) -> None:
-    from .fileio import atomic_write_text
-
-    atomic_write_text(path, json.dumps(model_payload(model)))
-
-
-def load_model(path) -> PlsModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
-    return model_from_payload(payload, source=str(path))

@@ -171,13 +171,22 @@ class TestConvForward:
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 5.0
 
-    def test_against_loop_oracle(self):
+    @pytest.mark.parametrize(
+        "x_shape, kernel_shape, out_shape",
+        [
+            ((3, 20, 2), (4, 3, 5, 1), (4, 16, 2)),
+            # a kernel narrower than the map, so windows slide along both axes
+            ((2, 9, 3), (4, 2, 4, 2), (4, 6, 2)),
+        ],
+        ids=["one-wide-kernel", "two-wide-kernel"],
+    )
+    def test_against_loop_oracle(self, x_shape, kernel_shape, out_shape):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 20, 2))
-        kernels = rng.normal(size=(4, 3, 5, 1))
-        biases = rng.normal(size=4)
+        x = rng.normal(size=x_shape)
+        kernels = rng.normal(size=kernel_shape)
+        biases = rng.normal(size=kernel_shape[0])
         out = convnet.conv2d_forward(x, kernels, biases)
-        assert out.shape == (4, 16, 2)
+        assert out.shape == out_shape
         assert np.abs(out - conv_oracle(x, kernels, biases)).max() <= 1e-12
 
     def test_kernel_too_large(self):

@@ -293,5 +293,5 @@ class TestPersistence:
     def test_corrupt(self, tmp_path):
         path = tmp_path / "model.lhn.json"
         path.write_text("][", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="offset"):
             lhn.load_lhn(path)
