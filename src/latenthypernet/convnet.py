@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import fileio
 from .errors import (
     ArchitectureError,
     FormatError,
@@ -43,7 +44,6 @@ from .errors import (
     ParameterError,
     ShapeError,
     TrainingDivergedError,
-    UnsupportedVersionError,
 )
 from .ingest import Dataset
 
@@ -560,18 +560,7 @@ def _config_payload(config: NetworkConfig) -> dict:
         "name": config.name,
         "input_h": config.input_h,
         "input_w": config.input_w,
-        "layers": [
-            {
-                "kind": s.kind,
-                "filters": s.filters,
-                "kernel_h": s.kernel_h,
-                "kernel_w": s.kernel_w,
-                "pool_h": s.pool_h,
-                "pool_w": s.pool_w,
-                "units": s.units,
-            }
-            for s in config.layers
-        ],
+        "layers": [asdict(spec) for spec in config.layers],
     }
 
 
@@ -594,90 +583,53 @@ def config_digest(config: NetworkConfig) -> str:
 
 
 def save_params(params: NetworkParams, config: NetworkConfig, path) -> None:
-    from .fileio import atomic_write_text
-
-    payload = {
-        "format": PARAMS_FORMAT,
-        "version": PARAMS_VERSION,
-        "config": _config_payload(config),
-        "conv_kernels": [
-            {"shape": list(k.shape), "data": k.reshape(-1).tolist()}
-            for k in params.conv_kernels
+    fileio.write_model(
+        path,
+        PARAMS_FORMAT,
+        PARAMS_VERSION,
+        config=_config_payload(config),
+        conv_kernels=[
+            {"shape": list(k.shape), "data": k.reshape(-1).tolist()} for k in params.conv_kernels
         ],
-        "conv_biases": [k.tolist() for k in params.conv_biases],
-        "dense_weights": {
+        conv_biases=[k.tolist() for k in params.conv_biases],
+        dense_weights={
             "shape": list(params.dense_weights.shape),
             "data": params.dense_weights.reshape(-1).tolist(),
         },
-        "dense_bias": params.dense_bias.tolist(),
-    }
-    atomic_write_text(path, json.dumps(payload))
+        dense_bias=params.dense_bias.tolist(),
+    )
 
 
 def load_params(path) -> tuple[NetworkParams, NetworkConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
-    if not isinstance(payload, dict) or payload.get("format") != PARAMS_FORMAT:
-        raise FormatError(f"{path}: not a {PARAMS_FORMAT} file")
-    if payload.get("version") != PARAMS_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {payload.get('version')!r} is not supported "
-            f"(this build reads version {PARAMS_VERSION})"
-        )
-    try:
+    """Read a params file; every array is checked against the stored config's shapes."""
+    payload = fileio.read_model(path, PARAMS_FORMAT, PARAMS_VERSION)
+    with fileio.decoding(path):
         config = _config_from_payload(payload["config"])
-        kernels = [
-            np.array(e["data"], dtype=np.float64).reshape(e["shape"])
-            for e in payload["conv_kernels"]
-        ]
-        biases = [np.array(e, dtype=np.float64) for e in payload["conv_biases"]]
-        dw = payload["dense_weights"]
-        dense_w = np.array(dw["data"], dtype=np.float64).reshape(dw["shape"])
-        dense_b = np.array(payload["dense_bias"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed field: {exc}") from None
-    params = NetworkParams(
-        conv_kernels=kernels, conv_biases=biases, dense_weights=dense_w, dense_bias=dense_b
-    )
-    _check_params(params, config, path)
-    return params, config
-
-
-def _check_params(params: NetworkParams, config: NetworkConfig, path) -> None:
-    """Reject weights that disagree with the stored config, before predict trips over them."""
-    try:
-        kernel_shapes, dense_shape = _param_shapes(config)
-    except (ArchitectureError, TypeError) as exc:
-        raise FormatError(f"{path}: config: {exc}") from None
-    counts = (len(params.conv_kernels), len(params.conv_biases))
-    if counts != (len(kernel_shapes),) * 2:
-        raise FormatError(
-            f"{path}: conv_kernels and conv_biases hold {counts[0]} and {counts[1]} entries, "
-            f"the stored config has {len(kernel_shapes)} conv layers"
-        )
-    fields = [
-        (f"conv_kernels[{i}]", k, shape)
-        for i, (k, shape) in enumerate(zip(params.conv_kernels, kernel_shapes))
-    ]
-    fields += [
-        (f"conv_biases[{i}]", b, shape[:1])
-        for i, (b, shape) in enumerate(zip(params.conv_biases, kernel_shapes))
-    ]
-    fields += [
-        ("dense_weights", params.dense_weights, dense_shape),
-        ("dense_bias", params.dense_bias, dense_shape[1:]),
-    ]
-    for name, arr, shape in fields:
-        if arr.shape != shape:
+        try:
+            kernel_shapes, dense_shape = _param_shapes(config)
+        except (ArchitectureError, TypeError) as exc:
+            raise FormatError(f"{path}: config: {exc}") from None
+        kernels, biases = payload["conv_kernels"], payload["conv_biases"]
+        if len(kernels) != len(kernel_shapes) or len(biases) != len(kernel_shapes):
             raise FormatError(
-                f"{path}: {name} has shape {arr.shape}, the stored config needs {shape}"
+                f"{path}: conv_kernels and conv_biases hold {len(kernels)} and {len(biases)} "
+                f"entries, the stored config has {len(kernel_shapes)} conv layers"
             )
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: {name} holds non-finite values")
+        params = NetworkParams(
+            conv_kernels=[
+                fileio.shaped_array(k, shape, f"conv_kernels[{i}]", path)
+                for i, (k, shape) in enumerate(zip(kernels, kernel_shapes))
+            ],
+            conv_biases=[
+                fileio.float_array(b, shape[:1], f"conv_biases[{i}]", path)
+                for i, (b, shape) in enumerate(zip(biases, kernel_shapes))
+            ],
+            dense_weights=fileio.shaped_array(
+                payload["dense_weights"], dense_shape, "dense_weights", path
+            ),
+            dense_bias=fileio.float_array(payload["dense_bias"], dense_shape[1:], "dense_bias", path),
+        )
+    return params, config
 
 
 def params_digest(params: NetworkParams) -> str:

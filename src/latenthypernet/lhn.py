@@ -13,20 +13,13 @@ the reduction step contributes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import convnet, pls
+from . import convnet, fileio, pls
 from .convnet import NetworkConfig, NetworkParams, TrainingConfig
-from .errors import (
-    DegenerateClassError,
-    FormatError,
-    ParameterError,
-    ShapeError,
-    UnsupportedVersionError,
-)
+from .errors import DegenerateClassError, FormatError, ParameterError, ShapeError
 from .ingest import Dataset
 
 MODEL_FORMAT = "lhn-model"
@@ -223,9 +216,7 @@ def export_projection(
         for (c1, c2), w in zip(coords, dataset.windows)
     ]
     if out_path is not None:
-        from .fileio import write_csv
-
-        write_csv(
+        fileio.write_csv(
             out_path,
             [["comp1", "comp2", "label"]] + [[repr(c1), repr(c2), name] for c1, c2, name in rows],
         )
@@ -241,88 +232,61 @@ def _standardizer_payload(s: pls.Standardizer) -> dict:
     return {"means": s.means.tolist(), "stds": s.stds.tolist(), "epsilon": s.epsilon}
 
 
-def _standardizer_from_payload(entry: dict) -> pls.Standardizer:
-    means = np.array(entry["means"], dtype=np.float64)
-    stds = np.array(entry["stds"], dtype=np.float64)
-    if means.ndim != 1 or stds.shape != means.shape:
-        raise ValueError("standardizer means and stds must be equal-length lists")
-    return pls.Standardizer(means=means, stds=stds, epsilon=float(entry["epsilon"]))
-
-
 def save_lhn(model: LhnModel, path) -> None:
-    from .fileio import atomic_write_text
-
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "config_name": model.config_name,
-        "config_digest": model.config_digest,
-        "params_digest": model.params_digest,
-        "components": model.components,
-        "layer_components": list(model.layer_components),
-        "pls_models": [pls.model_payload(m) for m in model.pls_models],
-        "tap_standardizers": [_standardizer_payload(s) for s in model.tap_standardizers],
-        "classifier_weights": {
+    fileio.write_model(
+        path,
+        MODEL_FORMAT,
+        MODEL_VERSION,
+        config_name=model.config_name,
+        config_digest=model.config_digest,
+        params_digest=model.params_digest,
+        components=model.components,
+        layer_components=list(model.layer_components),
+        pls_models=[pls.model_payload(m) for m in model.pls_models],
+        tap_standardizers=[_standardizer_payload(s) for s in model.tap_standardizers],
+        classifier_weights={
             "shape": list(model.classifier_weights.shape),
             "data": model.classifier_weights.reshape(-1).tolist(),
         },
-        "classifier_bias": model.classifier_bias.tolist(),
-    }
-    atomic_write_text(path, json.dumps(payload))
+        classifier_bias=model.classifier_bias.tolist(),
+    )
 
 
 def load_lhn(path) -> LhnModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: version {payload.get('version')!r} is not supported "
-            f"(this build reads version {MODEL_VERSION})"
-        )
-    try:
-        cw = payload["classifier_weights"]
+    """Read a model file; every array is checked against the file's own widths."""
+    payload = fileio.read_model(path, MODEL_FORMAT, MODEL_VERSION)
+    with fileio.decoding(path):
+        layer_components = [int(v) for v in payload["layer_components"]]
+        bias = payload["classifier_bias"]
+        bias = fileio.float_array(bias, (len(bias),), "classifier_bias", path)
         model = LhnModel(
             pls_models=[
-                pls.model_from_payload(p, source=str(path)) for p in payload["pls_models"]
+                pls.model_from_payload(p, f"{path}: pls_models[{i}]")
+                for i, p in enumerate(payload["pls_models"])
             ],
             tap_standardizers=[
-                _standardizer_from_payload(e) for e in payload["tap_standardizers"]
+                pls.standardizer_from_payload(e, len(e["means"]), f"{path}: tap_standardizers[{i}]")
+                for i, e in enumerate(payload["tap_standardizers"])
             ],
-            classifier_weights=np.array(cw["data"], dtype=np.float64).reshape(cw["shape"]),
-            classifier_bias=np.array(payload["classifier_bias"], dtype=np.float64),
+            classifier_weights=fileio.shaped_array(
+                payload["classifier_weights"],
+                (sum(layer_components), bias.size),
+                "classifier_weights",
+                path,
+            ),
+            classifier_bias=bias,
             components=int(payload["components"]),
-            layer_components=[int(v) for v in payload["layer_components"]],
+            layer_components=layer_components,
             config_name=payload["config_name"],
             config_digest=payload["config_digest"],
             params_digest=payload["params_digest"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed field: {exc}") from None
-    _check_consistent(model, path)
-    return model
-
-
-def _check_consistent(model: LhnModel, path) -> None:
-    """Reject a file whose parts disagree, before predict trips over them."""
     if model.reduced:
         widths = [m.components for m in model.pls_models]
     else:
         widths = [s.means.shape[0] for s in model.tap_standardizers]
-    if widths != model.layer_components:
+    if widths != layer_components:
         raise FormatError(
-            f"{path}: per-layer widths {widths} disagree with layer_components "
-            f"{model.layer_components}"
+            f"{path}: per-layer widths {widths} disagree with layer_components {layer_components}"
         )
-    bias = model.classifier_bias
-    expected = (model.latent_width, bias.size)
-    if bias.ndim != 1 or model.classifier_weights.shape != expected:
-        raise FormatError(
-            f"{path}: classifier weights are {model.classifier_weights.shape}, "
-            f"expected {expected} from layer_components and classifier_bias"
-        )
+    return model

@@ -21,14 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    InputError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-    UnsupportedVersionError,
-)
+from . import fileio
+from .errors import FormatError, InputError, NumericError, ParameterError, ShapeError
 
 MODEL_FORMAT = "pls-model"
 MODEL_VERSION = 1
@@ -98,11 +92,11 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def standardize_fit(X, epsilon: float = DEFAULT_EPSILON) -> Standardizer:
+def standardize_fit(X) -> Standardizer:
     """Fit per-column mean and population standard deviation.
 
-    Columns with standard deviation below epsilon are clamped to epsilon so
-    constant features map to zero instead of NaN.
+    Columns with standard deviation below DEFAULT_EPSILON are clamped to it
+    so constant features map to zero instead of NaN.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -111,8 +105,8 @@ def standardize_fit(X, epsilon: float = DEFAULT_EPSILON) -> Standardizer:
         raise InputError("standardization needs at least 2 rows")
     means = X.mean(axis=0)
     stds = X.std(axis=0)
-    stds = np.where(stds < epsilon, epsilon, stds)
-    return Standardizer(means=means, stds=stds, epsilon=epsilon)
+    stds = np.where(stds < DEFAULT_EPSILON, DEFAULT_EPSILON, stds)
+    return Standardizer(means=means, stds=stds, epsilon=DEFAULT_EPSILON)
 
 
 def standardize_apply(s: Standardizer, X) -> np.ndarray:
@@ -249,33 +243,29 @@ def model_payload(model: PlsModel) -> dict:
     }
 
 
-def model_from_payload(payload: dict, source: str = "<payload>") -> PlsModel:
-    if not isinstance(payload, dict):
-        raise FormatError(f"{source}: expected a JSON object at the top level")
-    if payload.get("format") != MODEL_FORMAT:
-        raise FormatError(f"{source}: not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise UnsupportedVersionError(
-            f"{source}: version {payload.get('version')!r} is not supported "
-            f"(this build reads version {MODEL_VERSION})"
-        )
-    try:
-        m = int(payload["n_features"])
-        k = int(payload["n_classes"])
-        c = int(payload["components"])
-        epsilon = float(payload["epsilon"])
-        means = np.array(payload["means"], dtype=np.float64)
-        stds = np.array(payload["stds"], dtype=np.float64)
-        weights = np.array(payload["weights"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{source}: malformed field: {exc}") from None
-    if means.shape != (m,) or stds.shape != (m,) or weights.size != m * c:
-        raise FormatError(f"{source}: field lengths disagree with declared sizes")
-    return PlsModel(
-        weights=weights.reshape(m, c),
-        components=c,
-        x_standardizer=Standardizer(means=means, stds=stds, epsilon=epsilon),
-        n_features=m,
-        n_classes=k,
-    )
+def standardizer_from_payload(entry: dict, width: int, source) -> Standardizer:
+    """Decode stored means, stds and epsilon: `width` finite values each, stds > 0."""
+    with fileio.decoding(source):
+        means = fileio.float_array(entry["means"], (width,), "means", source)
+        stds = fileio.float_array(entry["stds"], (width,), "stds", source)
+        epsilon = float(entry["epsilon"])
+    if not (stds > 0.0).all():
+        raise FormatError(f"{source}: stds holds a value <= 0")
+    if not np.isfinite(epsilon):
+        raise FormatError(f"{source}: epsilon is not finite")
+    return Standardizer(means=means, stds=stds, epsilon=epsilon)
 
+
+def model_from_payload(payload: dict, source: str = "<payload>") -> PlsModel:
+    """Decode a model_payload dict; every shape follows from its header."""
+    fileio.check_header(payload, MODEL_FORMAT, MODEL_VERSION, source)
+    with fileio.decoding(source):
+        m = int(payload["n_features"])
+        c = int(payload["components"])
+        return PlsModel(
+            weights=fileio.float_array(payload["weights"], (m, c), "weights", source),
+            components=c,
+            x_standardizer=standardizer_from_payload(payload, m, source),
+            n_features=m,
+            n_classes=int(payload["n_classes"]),
+        )

@@ -8,11 +8,11 @@ combining shallow and deep feature maps should help.
 """
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 
 import numpy as np
 
+from .fileio import write_csv
 from .ingest import Dataset, Window
 
 CLASS_NAMES = ("fast_burst", "fast_smooth", "slow_burst", "slow_smooth")
@@ -70,15 +70,11 @@ def write_synthetic_csv(
     value to segment with (the default 64 at 32 Hz means 2-second windows).
     """
     dataset = make_synthetic_dataset(n_windows, window_len, seed, noise)
-    from .fileio import atomic_write_text
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "ax", "ay"])
-    for label, name in enumerate(dataset.class_names):
-        for window in dataset.windows:
-            if window.label != label:
-                continue
-            for row in window.values:
-                writer.writerow([name, repr(float(row[0])), repr(float(row[1]))])
-    atomic_write_text(path, buf.getvalue())
+    samples = (  # a generator, so the rows are never all held at once
+        [name, repr(a), repr(b)]
+        for label, name in enumerate(dataset.class_names)
+        for window in dataset.windows
+        if window.label == label
+        for a, b in window.values.tolist()
+    )
+    write_csv(path, itertools.chain([["label", "ax", "ay"]], samples))

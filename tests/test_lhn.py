@@ -24,6 +24,36 @@ def trained():
     return ds, cfg, params
 
 
+@pytest.fixture(scope="module")
+def saved_files(trained, tmp_path_factory):
+    """Text of a saved model file with two pool layers, keyed by reduce."""
+    ds, cfg, params = trained
+    out = {}
+    for reduce in (True, False):
+        model = lhn.lhn_fit(
+            params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=reduce
+        )
+        path = tmp_path_factory.mktemp("saved") / "model.lhn.json"
+        lhn.save_lhn(model, path)
+        out[reduce] = path.read_text(encoding="utf-8")
+    return out
+
+
+NAN, INF = float("nan"), float("inf")
+
+# name: (reduce, path to the tampered value, value, field the error must name)
+TAMPERINGS = {
+    "zero-pls-std": (True, ("pls_models", 1, "stds", 2), 0.0, r"pls_models\[1\]: stds"),
+    "negative-pls-std": (True, ("pls_models", 1, "stds", 2), -1.0, r"pls_models\[1\]: stds"),
+    "nan-pls-weight": (True, ("pls_models", 1, "weights", 0), NAN, r"pls_models\[1\]: weights"),
+    "inf-pls-mean": (True, ("pls_models", 1, "means", 0), INF, r"pls_models\[1\]: means"),
+    "nan-classifier-weight": (True, ("classifier_weights", "data", 3), NAN, ": classifier_weights"),
+    "inf-classifier-bias": (True, ("classifier_bias", 1), INF, ": classifier_bias"),
+    "zero-tap-std": (False, ("tap_standardizers", 1, "stds", 0), 0.0, r"tap_standardizers\[1\]: stds"),
+    "nan-tap-mean": (False, ("tap_standardizers", 1, "means", 0), NAN, r"tap_standardizers\[1\]: means"),
+}
+
+
 def test_collect_pool_features_shapes(trained):
     ds, cfg, params = trained
     taps = lhn.collect_pool_features(params, cfg, ds)
@@ -288,6 +318,19 @@ class TestPersistence:
             payload[parts] = payload[parts][:-1]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError):
+            lhn.load_lhn(path)
+
+    @pytest.mark.parametrize("case", list(TAMPERINGS))
+    def test_bad_value_rejected_at_load(self, saved_files, tmp_path, case):
+        reduce, keys, value, field = TAMPERINGS[case]
+        payload = json.loads(saved_files[reduce])
+        entry = payload
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        path = tmp_path / "model.lhn.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=field):
             lhn.load_lhn(path)
 
     def test_corrupt(self, tmp_path):
