@@ -1,9 +1,14 @@
 """Command-line entry point.
 
-Subcommands: train, lhn-fit, evaluate, benchmark-time, project. Settings
-resolve in precedence order: explicit flags, then LHN_OUT_DIR (output
-directory only), then a --config file of key=value lines, then package
-defaults. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Subcommands: train, lhn-fit, evaluate, benchmark-time, project. Every
+setting is one RunConfig field, declared once: its default, its parser, its
+help and its choices. build_parser turns each field a command takes into a
+--flag whose help shows the default, and a --config file takes the same
+names as `key = value` lines (dashes or underscores, # comments).
+
+Settings resolve in precedence order: explicit flags, then LHN_OUT_DIR
+(output directory only), then the --config file, then the field defaults.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 
 Heavy modules are imported inside the command handlers so LHN_THREADS can
 cap the BLAS thread pool before numpy loads.
@@ -14,7 +19,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     ArchitectureError,
@@ -27,36 +32,6 @@ from .errors import (
 _USAGE_ERRORS = (ParameterError, SchemaError, ArchitectureError, InputError)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved settings; each command reads the fields it needs."""
-
-    data: str | None = None
-    rate: float | None = None
-    label_column: str = "label"
-    subject_column: str | None = None
-    channels: tuple[str, ...] | None = None
-    window_seconds: float = 5.0
-    stride: int | None = None
-    arch: str = "convnet1"
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    components: int = 19
-    seed: int = 0
-    folds: int = 10
-    runs: int = 30
-    out_dir: str = "."
-    no_reduction: bool = False
-    welch: bool = False
-    layers: str = "last"
-    params: str | None = None
-    lhn_model: str | None = None
-    out: str | None = None
-    log_file: str | None = None
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -66,23 +41,60 @@ def _parse_bool(text: str) -> bool:
     raise ParameterError(f"cannot parse {text!r} as a boolean")
 
 
-_FIELD_PARSERS = {
-    "rate": float,
-    "window_seconds": float,
-    "learning_rate": float,
-    "momentum": float,
-    "stride": int,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "components": int,
-    "folds": int,
-    "runs": int,
-    "no_reduction": _parse_bool,
-    "welch": _parse_bool,
-}
+def _parse_channels(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
 
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+
+def _setting(default, help: str, parse=str, choices=None):
+    """A RunConfig field; `parse` reads both its --flag value and its config-file value."""
+    return field(default=default, metadata={"parse": parse, "help": help, "choices": choices})
+
+
+_ARCHES = ("convnet1", "convnet2", "convnet3")  # convnet.PRESET_CONV_STAGES would load numpy
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved settings; each command reads the fields it needs.
+
+    A setting parsed by _parse_bool is a switch: its flag takes no value.
+    """
+
+    data: str | None = _setting(None, "input CSV path")
+    rate: float | None = _setting(None, "sampling rate of the CSV rows in Hz", float)
+    label_column: str = _setting("label", "label column name")
+    subject_column: str | None = _setting(None, "optional subject column name")
+    channels: tuple[str, ...] | None = _setting(
+        None, "comma-separated channel columns; all others when unset", _parse_channels
+    )
+    window_seconds: float = _setting(5.0, "window length in seconds", float)
+    stride: int | None = _setting(None, "window stride in samples; window length when unset", int)
+    arch: str = _setting("convnet1", "architecture preset", choices=_ARCHES)
+    epochs: int = _setting(50, "training epochs", int)
+    batch_size: int = _setting(32, "mini-batch size", int)
+    learning_rate: float = _setting(0.01, "SGD learning rate", float)
+    momentum: float = _setting(0.9, "SGD momentum", float)
+    components: int = _setting(19, "latent components per pool layer", int)
+    seed: int = _setting(0, "master random seed", int)
+    folds: int = _setting(10, "number of cross-validation folds", int)
+    runs: int = _setting(30, "timed passes per system", int)
+    out_dir: str = _setting(".", "output directory; env LHN_OUT_DIR beats the config file")
+    no_reduction: bool = _setting(False, "classify z-scored raw taps, not projections", _parse_bool)
+    welch: bool = _setting(False, "use the unequal-variance t-test", _parse_bool)
+    layers: str = _setting(
+        "last", "project the last pool layer, or a fresh fit on all taps", choices=("last", "all")
+    )
+    params: str | None = _setting(None, "trained params file from `lhn train`")
+    lhn_model: str | None = _setting(None, "fitted latent hypernet file from `lhn lhn-fit`")
+    out: str | None = _setting(
+        None,
+        "output file; when unset OUT_DIR/ARCH.params.json (train), "
+        "OUT_DIR/ARCH.lhn.json (lhn-fit) or OUT_DIR/projection_LAYERS.csv (project)",
+    )
+    log_file: str | None = _setting(None, "epoch,loss,train_recall lines go here, not stdout")
+
+
+_SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -99,39 +111,37 @@ def _read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in _KNOWN_KEYS:
+            if key not in _SETTINGS:
                 raise ParameterError(f"{path}: line {line_no}: unknown key {key!r}")
-            parser = _FIELD_PARSERS.get(key, str)
+            meta = _SETTINGS[key].metadata
             try:
-                values[key] = parser(value)
+                values[key] = meta["parse"](value)
             except ValueError:
                 raise ParameterError(
                     f"{path}: line {line_no}: bad value {value!r} for {key}"
                 ) from None
+            if meta["choices"] and values[key] not in meta["choices"]:
+                raise ParameterError(
+                    f"{path}: line {line_no}: {key} must be one of {', '.join(meta['choices'])}"
+                )
     return values
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged = {}
     config_path = getattr(args, "config", None)
-    if config_path:
-        merged.update(_read_config_file(config_path))
+    merged = _read_config_file(config_path) if config_path else {}
     env_out = os.environ.get("LHN_OUT_DIR")
     if env_out:
         merged["out_dir"] = env_out
-    for key, value in vars(args).items():
-        if key in _KNOWN_KEYS and value is not None:
-            merged[key] = value
-    if isinstance(merged.get("channels"), str):
-        merged["channels"] = tuple(c.strip() for c in merged["channels"].split(",") if c.strip())
+    merged.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
     cfg = RunConfig(**merged)
     if cfg.window_seconds <= 0:
         raise ParameterError("window-seconds must be positive")
-    if cfg.stride is not None and cfg.stride < 1:
-        raise ParameterError("stride must be a positive integer")
-    for name in ("epochs", "batch_size", "components", "folds", "runs"):
-        if getattr(cfg, name) < 1:
-            raise ParameterError(f"{name.replace('_', '-')} must be >= 1")
+    lows = {"stride": 1, "epochs": 1, "batch_size": 1, "components": 1, "folds": 2, "runs": 2}
+    for name, low in lows.items():  # kfold_split needs 2 folds, timing_benchmark 2 runs
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise ParameterError(f"{name.replace('_', '-')} must be >= {low}")
     return cfg
 
 
@@ -156,7 +166,8 @@ def _infer_channels(path: str, label_column: str, subject_column: str | None) ->
     return channels
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: RunConfig, config=None):
+    """The windowed CSV; given the network's config, windows of another shape exit 2."""
     from . import ingest
 
     path = _require_file(cfg.data, "data")
@@ -169,11 +180,16 @@ def _load_dataset(cfg: RunConfig):
         label_column=cfg.label_column,
         subject_column=cfg.subject_column,
     )
-    recordings = ingest.load_csv(path, schema)
-    return ingest.build_dataset(recordings, cfg.window_seconds, cfg.stride)
+    dataset = ingest.build_dataset(ingest.load_csv(path, schema), cfg.window_seconds, cfg.stride)
+    if config and (dataset.window_len, dataset.channels) != (config.input_h, config.input_w):
+        raise ParameterError(
+            f"data windows are {dataset.window_len}x{dataset.channels} but "
+            f"{cfg.params} expects {config.input_h}x{config.input_w}"
+        )
+    return dataset
 
 
-def _training_config(cfg: RunConfig, seed: int | None = None):
+def _training_config(cfg: RunConfig):
     from .convnet import TrainingConfig
 
     return TrainingConfig(
@@ -181,7 +197,7 @@ def _training_config(cfg: RunConfig, seed: int | None = None):
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
-        seed=cfg.seed if seed is None else seed,
+        seed=cfg.seed,
     )
 
 
@@ -208,16 +224,8 @@ def _load_lhn_pair(cfg: RunConfig):
         raise ParameterError(
             f"{model_path} was fitted on other weights than those in {params_path}"
         )
+    lhn.check_tap_widths(model, config, model_path)
     return params, config, model
-
-
-def _require_windows(dataset, config, params_path: str) -> None:
-    """Refuse (exit 2) data whose windows are not the shape the network was built for."""
-    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
-        raise ParameterError(
-            f"data windows are {dataset.window_len}x{dataset.channels} but "
-            f"{params_path} expects {config.input_h}x{config.input_w}"
-        )
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -242,8 +250,7 @@ def cmd_lhn_fit(cfg: RunConfig) -> int:
 
     params_path = _require_file(cfg.params, "params")
     params, config = convnet.load_params(params_path)
-    dataset = _load_dataset(cfg)
-    _require_windows(dataset, config, params_path)
+    dataset = _load_dataset(cfg, config)
     model = lhn.lhn_fit(
         params,
         config,
@@ -304,8 +311,7 @@ def cmd_benchmark_time(cfg: RunConfig) -> int:
     from .fileio import write_csv
 
     params, config, model = _load_lhn_pair(cfg)
-    dataset = _load_dataset(cfg)
-    _require_windows(dataset, config, cfg.params)
+    dataset = _load_dataset(cfg, config)
     report = evaluation.timing_benchmark(
         lambda w: convnet.predict(params, config, w),
         lambda w: lhn.lhn_predict(model, params, config, w),
@@ -322,21 +328,12 @@ def cmd_benchmark_time(cfg: RunConfig) -> int:
     runs_path = os.path.join(cfg.out_dir, "timing.csv")
     write_csv(runs_path, rows)
 
-    rows = [["system", "mean_seconds", "ci95_half_width", "t_statistic", "critical_value", "verdict"]]
-    for system, mean, half in (
-        ("convnet", report.mean_a, report.ci_half_a),
-        ("lhn", report.mean_b, report.ci_half_b),
-    ):
-        rows.append(
-            [
-                system,
-                repr(float(mean)),
-                repr(float(half)),
-                repr(float(report.t_statistic)),
-                repr(float(report.critical_value)),
-                report.verdict,
-            ]
-        )
+    t_test = [repr(float(report.t_statistic)), repr(float(report.critical_value)), report.verdict]
+    rows = [
+        ["system", "mean_seconds", "ci95_half_width", "t_statistic", "critical_value", "verdict"],
+        ["convnet", repr(float(report.mean_a)), repr(float(report.ci_half_a)), *t_test],
+        ["lhn", repr(float(report.mean_b)), repr(float(report.ci_half_b)), *t_test],
+    ]
     summary_path = os.path.join(cfg.out_dir, "timing_summary.csv")
     write_csv(summary_path, rows)
 
@@ -352,8 +349,7 @@ def cmd_project(cfg: RunConfig) -> int:
     from . import lhn
 
     params, config, model = _load_lhn_pair(cfg)
-    dataset = _load_dataset(cfg)
-    _require_windows(dataset, config, cfg.params)
+    dataset = _load_dataset(cfg, config)
     out = _out_path(cfg, f"projection_{cfg.layers}.csv")
     rows = lhn.export_projection(
         model, params, config, dataset, layer_selector=cfg.layers, out_path=out
@@ -362,27 +358,30 @@ def cmd_project(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value settings file; flags override it")
-    p.add_argument("--seed", type=int, help="master random seed (default 0)")
-    p.add_argument("--out-dir", help="output directory (default .; env LHN_OUT_DIR overrides)")
+_COMMON = ("seed", "out_dir", "data", "rate", "label_column", "subject_column", "channels",
+           "window_seconds", "stride")
+_TRAINING = ("epochs", "batch_size", "learning_rate", "momentum")
+
+# command -> (handler, summary, the RunConfig settings it takes as flags, in help order)
+_COMMANDS = {
+    "train": (cmd_train, "train a convnet and save its parameters",
+              (*_COMMON, *_TRAINING, "arch", "out", "log_file")),
+    "lhn-fit": (cmd_lhn_fit, "fit a latent hypernet on frozen network parameters",
+                (*_COMMON, *_TRAINING, "params", "components", "no_reduction", "out")),
+    "evaluate": (cmd_evaluate, "k-fold cross-validation of convnet vs latent hypernet",
+                 (*_COMMON, *_TRAINING, "arch", "components", "folds", "no_reduction")),
+    "benchmark-time": (cmd_benchmark_time, "compare per-window prediction time statistically",
+                       (*_COMMON, "params", "lhn_model", "runs", "welch")),
+    "project": (cmd_project, "export a two-component latent scatter as CSV",
+                (*_COMMON, "params", "lhn_model", "layers", "out")),
+}
 
 
-def _add_data(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="input CSV path")
-    p.add_argument("--rate", type=float, help="sampling rate of the CSV rows in Hz")
-    p.add_argument("--label-column", help="label column name (default: label)")
-    p.add_argument("--subject-column", help="optional subject column name")
-    p.add_argument("--channels", help="comma-separated channel columns (default: all others)")
-    p.add_argument("--window-seconds", type=float, help="window length in seconds (default: 5)")
-    p.add_argument("--stride", type=int, help="window stride in samples (default: window length)")
-
-
-def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, help="training epochs (default: 50)")
-    p.add_argument("--batch-size", type=int, help="mini-batch size (default: 32)")
-    p.add_argument("--learning-rate", type=float, help="SGD learning rate (default: 0.01)")
-    p.add_argument("--momentum", type=float, help="SGD momentum (default: 0.9)")
+def _flag_help(setting) -> str:
+    # `is`, not `in (None, False)`: seed's default 0 == False
+    if setting.default is None or setting.default is False:
+        return setting.metadata["help"]
+    return f"{setting.metadata['help']} (default: {setting.default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,60 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("train", help="train a convnet and save its parameters")
-    _add_common(p)
-    _add_data(p)
-    _add_training(p)
-    p.add_argument("--arch", choices=("convnet1", "convnet2", "convnet3"),
-                   help="architecture preset (default: convnet1)")
-    p.add_argument("--out", help="params file path (default: OUT_DIR/ARCH.params.json)")
-    p.add_argument("--log-file", help="write epoch,loss,train_recall lines here instead of stdout")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("lhn-fit", help="fit a latent hypernet on frozen network parameters")
-    _add_common(p)
-    _add_data(p)
-    _add_training(p)
-    p.add_argument("--params", help="trained params file from `lhn train`")
-    p.add_argument("--components", type=int, help="latent components per pool layer (default: 19)")
-    p.add_argument("--no-reduction", action="store_const", const=True,
-                   help="skip the projections and feed z-scored raw taps to the classifier")
-    p.add_argument("--out", help="model file path (default: OUT_DIR/ARCH.lhn.json)")
-    p.set_defaults(func=cmd_lhn_fit)
-
-    p = sub.add_parser("evaluate", help="k-fold cross-validation of convnet vs latent hypernet")
-    _add_common(p)
-    _add_data(p)
-    _add_training(p)
-    p.add_argument("--arch", choices=("convnet1", "convnet2", "convnet3"),
-                   help="architecture preset (default: convnet1)")
-    p.add_argument("--components", type=int, help="latent components per pool layer (default: 19)")
-    p.add_argument("--folds", type=int, help="number of folds (default: 10)")
-    p.add_argument("--no-reduction", action="store_const", const=True,
-                   help="evaluate the raw-concatenation ablation instead of the projection")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("benchmark-time", help="compare per-window prediction time statistically")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--params", help="trained params file")
-    p.add_argument("--lhn-model", help="fitted latent hypernet file")
-    p.add_argument("--runs", type=int, help="timed passes per system (default: 30)")
-    p.add_argument("--welch", action="store_const", const=True,
-                   help="use the unequal-variance t-test")
-    p.set_defaults(func=cmd_benchmark_time)
-
-    p = sub.add_parser("project", help="export a two-component latent scatter as CSV")
-    _add_common(p)
-    _add_data(p)
-    p.add_argument("--params", help="trained params file")
-    p.add_argument("--lhn-model", help="fitted latent hypernet file")
-    p.add_argument("--layers", choices=("last", "all"),
-                   help="project the last pool layer or a fresh fit on all taps (default: last)")
-    p.add_argument("--out", help="output CSV path (default: OUT_DIR/projection_LAYERS.csv)")
-    p.set_defaults(func=cmd_project)
-
+    for command, (handler, summary, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=handler)
+        p.add_argument("--config", help="file of key = value settings; flags override it")
+        for name in names:
+            setting = _SETTINGS[name]
+            flag, meta = "--" + name.replace("_", "-"), setting.metadata
+            if meta["parse"] is _parse_bool:
+                p.add_argument(flag, action="store_const", const=True, help=_flag_help(setting))
+            else:
+                p.add_argument(
+                    flag, type=meta["parse"], choices=meta["choices"], help=_flag_help(setting)
+                )
     return parser
 
 

@@ -439,12 +439,15 @@ def _chunks(x: np.ndarray):
     return (x[start : start + _CHUNK] for start in range(0, x.shape[0], _CHUNK))
 
 
+def _argmax_chunks(x: np.ndarray, logits_of) -> np.ndarray:
+    """Argmax labels of logits_of(chunk) over _chunks(x); ties go to the lowest index."""
+    return np.concatenate([np.argmax(logits_of(chunk), axis=1) for chunk in _chunks(x)])
+
+
 def predict_dataset(params: NetworkParams, config: NetworkConfig, dataset: Dataset) -> np.ndarray:
     """Vectorized predict over a whole dataset, in chunks of _CHUNK windows."""
     x = _dataset_batch(config, dataset)
-    return np.concatenate(
-        [np.argmax(_forward_batch(params, chunk)[-2], axis=1) for chunk in _chunks(x)]
-    )
+    return _argmax_chunks(x, lambda chunk: _forward_batch(params, chunk)[-2])
 
 
 def _macro_recall(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:

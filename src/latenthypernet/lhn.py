@@ -135,6 +135,28 @@ def lhn_fit(
     )
 
 
+def check_tap_widths(model: LhnModel, config: NetworkConfig, source) -> None:
+    """Refuse a model whose per-layer input widths are not the network's pool-tap widths.
+
+    A model file records only its network's digest, so the widths are
+    checked once the model is paired with a network.
+    """
+    shapes = convnet.propagate_shapes(config)
+    taps = [int(np.prod(s)) for spec, s in zip(config.layers, shapes) if spec.kind == "maxpool"]
+    if model.reduced:
+        part, widths = "pls_models", [m.n_features for m in model.pls_models]
+    else:
+        part, widths = "tap_standardizers", [s.means.size for s in model.tap_standardizers]
+    if len(widths) != len(taps):
+        raise FormatError(f"{source}: {len(widths)} {part} for {len(taps)} pools in {config.name}")
+    for i, (width, tap) in enumerate(zip(widths, taps)):
+        if width != tap:
+            raise FormatError(
+                f"{source}: {part}[{i}] takes {width} features, "
+                f"but pool tap {i} of {config.name} is {tap} wide"
+            )
+
+
 def _project_taps(model: LhnModel, taps: list[np.ndarray]) -> np.ndarray:
     if len(taps) != model.pool_layer_count:
         raise ShapeError(
@@ -169,11 +191,13 @@ def lhn_predict(
 def lhn_predict_dataset(
     model: LhnModel, params: NetworkParams, config: NetworkConfig, dataset: Dataset
 ) -> np.ndarray:
-    """Vectorized lhn_predict over a whole dataset."""
-    taps = collect_pool_features(params, config, dataset)
-    latent = _project_taps(model, taps)
-    logits = latent @ model.classifier_weights + model.classifier_bias
-    return np.argmax(logits, axis=1)
+    """Vectorized lhn_predict over a whole dataset, in chunks of convnet._CHUNK windows."""
+
+    def logits(chunk: np.ndarray) -> np.ndarray:
+        latent = _project_taps(model, convnet._forward_taps(params, chunk))
+        return latent @ model.classifier_weights + model.classifier_bias
+
+    return convnet._argmax_chunks(convnet._dataset_batch(config, dataset), logits)
 
 
 def export_projection(

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +365,141 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--frobnicate"])
     assert exc.value.code == 2
+
+
+COMMON_FLAGS = {
+    "--config", "--seed", "--out-dir", "--data", "--rate", "--label-column",
+    "--subject-column", "--channels", "--window-seconds", "--stride",
+}
+TRAINING_FLAGS = {"--epochs", "--batch-size", "--learning-rate", "--momentum"}
+FLAGS = {
+    "train": COMMON_FLAGS | TRAINING_FLAGS | {"--arch", "--out", "--log-file"},
+    "lhn-fit": COMMON_FLAGS
+    | TRAINING_FLAGS
+    | {"--params", "--components", "--no-reduction", "--out"},
+    "evaluate": COMMON_FLAGS
+    | TRAINING_FLAGS
+    | {"--arch", "--components", "--folds", "--no-reduction"},
+    "benchmark-time": COMMON_FLAGS | {"--params", "--lhn-model", "--runs", "--welch"},
+    "project": COMMON_FLAGS | {"--params", "--lhn-model", "--layers", "--out"},
+}
+
+# setting: (its text in a config file or on the command line, the value it resolves to);
+# None as text marks a switch, whose flag takes no value
+NON_DEFAULT = {
+    "data": ("x.csv", "x.csv"),
+    "rate": ("8.5", 8.5),
+    "label_column": ("activity", "activity"),
+    "subject_column": ("subject", "subject"),
+    "channels": ("ax, ay", ("ax", "ay")),
+    "window_seconds": ("2.5", 2.5),
+    "stride": ("3", 3),
+    "arch": ("convnet2", "convnet2"),
+    "epochs": ("7", 7),
+    "batch_size": ("16", 16),
+    "learning_rate": ("0.5", 0.5),
+    "momentum": ("0.25", 0.25),
+    "components": ("4", 4),
+    "seed": ("5", 5),
+    "folds": ("4", 4),
+    "runs": ("6", 6),
+    "out_dir": ("elsewhere", "elsewhere"),
+    "no_reduction": (None, True),
+    "welch": (None, True),
+    "layers": ("all", "all"),
+    "params": ("p.params.json", "p.params.json"),
+    "lhn_model": ("m.lhn.json", "m.lhn.json"),
+    "out": ("o.csv", "o.csv"),
+    "log_file": ("train.log", "train.log"),
+}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if a.dest == "command")
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_command_takes_its_flags(command):
+    actions = subparsers()[command]._actions
+    flags = {opt for a in actions for opt in a.option_strings} - {"-h", "--help"}
+    assert flags == FLAGS[command]
+
+
+def test_every_setting_has_a_non_default_case():
+    assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+def test_config_line_and_flag_resolve_alike(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("LHN_OUT_DIR", raising=False)
+    text, value = NON_DEFAULT[name]
+    flag = "--" + name.replace("_", "-")
+    command = next(c for c in sorted(FLAGS) if flag in FLAGS[c])
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag[2:]} = {text or 'true'}\n", encoding="utf-8")
+    parser = cli.build_parser()
+    from_file = cli._resolve(parser.parse_args([command, "--config", str(config)]))
+    from_flag = cli._resolve(parser.parse_args([command, flag, *([text] if text else [])]))
+    assert getattr(from_file, name) == getattr(from_flag, name) == value
+    assert value != getattr(cli.RunConfig(), name)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_every_flag_and_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for flag in FLAGS[command]:
+        assert flag in text
+        name = flag[2:].replace("-", "_")
+        default = getattr(cli.RunConfig(), name, None)
+        if default is not None and default is not False:  # `is`: seed's 0 == False
+            assert f"(default: {default})" in text, flag
+    assert "(default: 0)" in text  # --seed
+
+
+def test_config_file_value_outside_choices_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("arch = convnet9\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "arch must be one of convnet1, convnet2, convnet3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "folds"), ("benchmark-time", "runs")])
+def test_folds_and_runs_need_two(command, flag, capsys):
+    assert cli.main([command, f"--{flag}", "1"]) == 2
+    assert f"{flag} must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["project", "benchmark-time"])
+def test_model_layer_narrower_than_its_tap_exits_one(command, tmp_path, capsys):
+    data = Path(__file__).parent / "data"
+    payload = json.loads((data / "golden.reduced.lhn.json").read_text(encoding="utf-8"))
+    layer = payload["pls_models"][0]
+    assert layer["n_features"] == 21
+    layer["n_features"] = 20
+    for key in ("means", "stds"):
+        layer[key] = layer[key][:20]
+    layer["weights"] = layer["weights"][: 20 * layer["components"]]
+    model_path = tmp_path / "cut.lhn.json"
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    csv_path = tmp_path / "windows.csv"
+    synthetic.write_synthetic_csv(csv_path, n_windows=8, window_len=16, sampling_rate_hz=8.0)
+    out_dir = tmp_path / "out"
+    rc = cli.main(
+        [
+            command,
+            "--data", str(csv_path),
+            "--rate", "8",
+            "--window-seconds", "2",
+            "--params", str(data / "golden.params.json"),
+            "--lhn-model", str(model_path),
+            "--out-dir", str(out_dir),
+        ]
+    )
+    assert rc == 1
+    assert "pls_models[0]" in capsys.readouterr().err
+    assert not out_dir.exists()

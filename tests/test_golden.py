@@ -24,11 +24,13 @@ before the model-file reader was shared between the formats:
 The expected labels are what that code predicted for the eight windows of
 make_synthetic_dataset(n_windows=8, window_len=16, seed=99).
 """
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from latenthypernet import convnet, lhn, synthetic
+from latenthypernet.errors import FormatError
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,3 +63,13 @@ def test_lhn_file(probe, tmp_path, name):
     assert lhn.lhn_predict_dataset(model, params, config, probe).tolist() == EXPECTED_LABELS[name]
     lhn.save_lhn(model, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name, part", [("reduced", "pls_models"), ("unreduced", "tap_standardizers")])
+def test_lhn_file_layer_widths_against_the_network(name, part):
+    _, config = convnet.load_params(DATA / "golden.params.json")
+    model = lhn.load_lhn(DATA / f"golden.{name}.lhn.json")
+    lhn.check_tap_widths(model, config, "golden")
+    taller = dataclasses.replace(config, input_h=20)  # pool tap 0 becomes 3 x 9 x 1 = 27 wide
+    with pytest.raises(FormatError, match=rf"{part}\[0\] takes 21 features, .* is 27 wide"):
+        lhn.check_tap_widths(model, taller, "golden")

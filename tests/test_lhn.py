@@ -98,6 +98,27 @@ def test_single_window_is_a_batch_of_one(trained):
             assert np.allclose(tap, rows[j], rtol=1e-12, atol=1e-12)
 
 
+def test_predict_dataset_projects_in_chunks(trained, monkeypatch):
+    ds, cfg, params = trained
+    model = lhn.lhn_fit(params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1))
+    big = synthetic.make_synthetic_dataset(
+        n_windows=2 * convnet._CHUNK + 8, window_len=ds.window_len, seed=5
+    )
+    expected = [lhn.lhn_predict(model, params, cfg, w.values) for w in big.windows]
+    rows = []
+    transform = pls.pls_transform
+
+    def recording(m, x):
+        rows.append(x.shape[0])
+        return transform(m, x)
+
+    monkeypatch.setattr(pls, "pls_transform", recording)
+    labels = lhn.lhn_predict_dataset(model, params, cfg, big)
+    assert max(rows) <= convnet._CHUNK
+    assert sum(rows) == len(big) * model.pool_layer_count
+    assert labels.tolist() == expected
+
+
 def test_latent_width_small(trained):
     ds, cfg, params = trained
     model = lhn.lhn_fit(params, cfg, ds, components=1, classifier=TrainingConfig(epochs=1))
