@@ -137,10 +137,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**merged)
     if cfg.window_seconds <= 0:
         raise ParameterError("window-seconds must be positive")
+    taken = _COMMANDS[args.command][2]  # a setting the command does not read is not checked
     lows = {"stride": 1, "epochs": 1, "batch_size": 1, "components": 1, "folds": 2, "runs": 2}
     for name, low in lows.items():  # kfold_split needs 2 folds, timing_benchmark 2 runs
         value = getattr(cfg, name)
-        if value is not None and value < low:
+        if name in taken and value is not None and value < low:
             raise ParameterError(f"{name.replace('_', '-')} must be >= {low}")
     return cfg
 

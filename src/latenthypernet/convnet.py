@@ -379,19 +379,16 @@ def conv2d_forward(x, kernels, biases) -> np.ndarray:
     return _conv_forward_batch(x[None], kernels, biases)[0]
 
 
-def maxpool_forward(x) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping 2x1 max pooling of one [maps, h, w] input.
+def maxpool_forward(x) -> np.ndarray:
+    """Non-overlapping 2x1 max pooling of one [maps, h, w] input; a trailing odd row is dropped.
 
-    Returns the pooled maps and, per output, the row of its pair that the
-    backward routes the gradient to (0 = upper row, also on ties); a
-    trailing odd row is dropped.
+    Returns the pooled maps only; the backward pass decides which row of a
+    pair gets the gradient (the upper one on ties).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"expected [maps, h, w] input, got rank {x.ndim}")
-    out = _maxpool_forward_batch(x[None])[0]
-    upper, lower = _row_pairs(x)
-    return out, (lower > upper).astype(np.intp)
+    return _maxpool_forward_batch(x[None])[0]
 
 
 def _check_window(config: NetworkConfig, window: np.ndarray) -> np.ndarray:

@@ -20,26 +20,17 @@ from .errors import DegenerateClassError, InputError, ParameterError
 from .ingest import Dataset
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # [k, k]; rows = true class, columns = predicted
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion_matrix(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
+def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
+    """Counts [k, k]: rows are the true class, columns the predicted one."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
-def recall_macro(cm: ConfusionMatrix) -> float:
-    """Unweighted mean over classes of diagonal / row sum."""
-    counts = cm.counts
+def recall_macro(counts: np.ndarray) -> float:
+    """Unweighted mean over classes of diagonal / row sum of a confusion matrix."""
     row_sums = counts.sum(axis=1)
     if (row_sums == 0).any():
         empty = np.flatnonzero(row_sums == 0).tolist()
@@ -100,11 +91,6 @@ class CvResult:
     mean_lhn: float
     improvement_pp: float  # (lhn - baseline) in percentage points
     folds: int
-
-    def fold_improvements_pp(self) -> list[float]:
-        return [
-            (l - b) * 100.0 for b, l in zip(self.baseline_recalls, self.lhn_recalls)
-        ]
 
 
 def run_cv(

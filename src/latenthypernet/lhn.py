@@ -41,7 +41,6 @@ class LhnModel:
     classifier_weights: np.ndarray  # [latent_width, n_classes]
     classifier_bias: np.ndarray  # [n_classes]
     components: int  # requested per-layer width
-    layer_components: list[int]  # effective width per pool layer
     config_name: str
     config_digest: str
     params_digest: str  # convnet.params_digest of the weights it was fitted on
@@ -52,7 +51,14 @@ class LhnModel:
 
     @property
     def pool_layer_count(self) -> int:
-        return len(self.layer_components)
+        return len(self.pls_models or self.tap_standardizers)
+
+    @property
+    def layer_components(self) -> list[int]:
+        """Effective latent width per pool layer."""
+        if self.reduced:
+            return [m.components for m in self.pls_models]
+        return [s.means.size for s in self.tap_standardizers]
 
     @property
     def latent_width(self) -> int:
@@ -94,25 +100,13 @@ def lhn_fit(
         raise DegenerateClassError("need windows from at least 2 classes")
 
     taps = collect_pool_features(params, config, dataset)
-    indicators = pls.one_hot(labels, k)
-
-    models: list[pls.PlsModel] = []
-    standardizers: list[pls.Standardizer] = []
-    latents: list[np.ndarray] = []
     if reduce:
-        for tap in taps:
-            model = pls.nipals_fit(tap, indicators, components)
-            models.append(model)
-            latents.append(pls.pls_transform(model, tap))
-        layer_components = [m.components for m in models]
+        indicators = pls.one_hot(labels, k)
+        models, standardizers = [pls.nipals_fit(tap, indicators, components) for tap in taps], []
     else:
-        for tap in taps:
-            s = pls.standardize_fit(tap)
-            standardizers.append(s)
-            latents.append(pls.standardize_apply(s, tap))
-        layer_components = [t.shape[1] for t in taps]
+        models, standardizers = [], [pls.standardize_fit(tap) for tap in taps]
 
-    latent = np.concatenate(latents, axis=1)
+    latent = _latent(models, standardizers, taps)
     head_config = NetworkConfig(
         name="latent-classifier",
         layers=(convnet.flatten(), convnet.dense(k), convnet.softmax()),
@@ -128,7 +122,6 @@ def lhn_fit(
         classifier_weights=head.dense_weights,
         classifier_bias=head.dense_bias,
         components=components,
-        layer_components=layer_components,
         config_name=config.name,
         config_digest=convnet.config_digest(config),
         params_digest=convnet.params_digest(params),
@@ -157,17 +150,22 @@ def check_tap_widths(model: LhnModel, config: NetworkConfig, source) -> None:
             )
 
 
+def _latent(pls_models, tap_standardizers, taps: list[np.ndarray]) -> np.ndarray:
+    """Each tap through its layer's map, concatenated in layer order; fit and predict share it."""
+    if pls_models:
+        parts = [pls.pls_transform(m, t) for m, t in zip(pls_models, taps)]
+    else:
+        parts = [pls.standardize_apply(s, t) for s, t in zip(tap_standardizers, taps)]
+    return np.concatenate(parts, axis=1)
+
+
 def _project_taps(model: LhnModel, taps: list[np.ndarray]) -> np.ndarray:
     if len(taps) != model.pool_layer_count:
         raise ShapeError(
             f"network exposes {len(taps)} pool layers, model was fitted on "
             f"{model.pool_layer_count}"
         )
-    if model.reduced:
-        parts = [pls.pls_transform(m, t) for m, t in zip(model.pls_models, taps)]
-    else:
-        parts = [pls.standardize_apply(s, t) for s, t in zip(model.tap_standardizers, taps)]
-    return np.concatenate(parts, axis=1)
+    return _latent(model.pls_models, model.tap_standardizers, taps)
 
 
 def lhn_transform(
@@ -217,16 +215,12 @@ def export_projection(
     """
     if layer_selector not in ("last", "all"):
         raise ParameterError(f"layer_selector must be 'last' or 'all', got {layer_selector!r}")
-    if model.components < 2:
-        raise ParameterError("projection export needs a model fitted with components >= 2")
     taps = collect_pool_features(params, config, dataset)
     if layer_selector == "last":
         if not model.reduced:
             raise ParameterError("projection export needs a model fitted with reduce=True")
         if model.layer_components[-1] < 2:
-            raise ParameterError(
-                "last pool layer was clamped below 2 components; cannot export"
-            )
+            raise ParameterError("last pool layer has fewer than 2 components; cannot export")
         coords = pls.pls_transform(model.pls_models[-1], taps[-1])[:, :2]
     else:
         combined = np.concatenate(taps, axis=1)
@@ -265,7 +259,7 @@ def save_lhn(model: LhnModel, path) -> None:
         config_digest=model.config_digest,
         params_digest=model.params_digest,
         components=model.components,
-        layer_components=list(model.layer_components),
+        layer_components=model.layer_components,
         pls_models=[pls.model_payload(m) for m in model.pls_models],
         tap_standardizers=[_standardizer_payload(s) for s in model.tap_standardizers],
         classifier_weights={
@@ -277,7 +271,7 @@ def save_lhn(model: LhnModel, path) -> None:
 
 
 def load_lhn(path) -> LhnModel:
-    """Read a model file; every array is checked against the file's own widths."""
+    """Read a model file; every array and the stored layer_components copy must fit its widths."""
     payload = fileio.read_model(path, MODEL_FORMAT, MODEL_VERSION)
     with fileio.decoding(path):
         layer_components = [int(v) for v in payload["layer_components"]]
@@ -300,15 +294,11 @@ def load_lhn(path) -> LhnModel:
             ),
             classifier_bias=bias,
             components=int(payload["components"]),
-            layer_components=layer_components,
             config_name=payload["config_name"],
             config_digest=payload["config_digest"],
             params_digest=payload["params_digest"],
         )
-    if model.reduced:
-        widths = [m.components for m in model.pls_models]
-    else:
-        widths = [s.means.shape[0] for s in model.tap_standardizers]
+    widths = model.layer_components
     if widths != layer_components:
         raise FormatError(
             f"{path}: per-layer widths {widths} disagree with layer_components {layer_components}"

@@ -50,9 +50,7 @@ class PlsModel:
     """
 
     weights: np.ndarray  # [n_features, components]
-    components: int
     x_standardizer: Standardizer
-    n_features: int
     n_classes: int
     scaled_weights: np.ndarray = field(init=False, repr=False)  # weights / stds, per row
     offset: np.ndarray = field(init=False, repr=False)  # -(means / stds) @ weights
@@ -61,6 +59,14 @@ class PlsModel:
         s = self.x_standardizer
         object.__setattr__(self, "scaled_weights", self.weights / s.stds[:, None])
         object.__setattr__(self, "offset", -(s.means / s.stds) @ self.weights)
+
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def components(self) -> int:
+        return self.weights.shape[1]
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ class NipalsTrace:
 
     x_scores: np.ndarray  # [n_samples, components]
     y_weights: np.ndarray  # [n_classes, components]
-    x_loadings: np.ndarray  # [n_features, components]
     x_residual_norms: np.ndarray  # [components + 1]
 
 
@@ -157,7 +162,6 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
     W = np.empty((m, components))
     T = np.empty((n, components))
     Q = np.empty((k, components))
-    P = np.empty((m, components))
     residual_norms = [float(np.linalg.norm(Xd))]
 
     for a in range(components):
@@ -193,22 +197,10 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         W[:, a] = w
         T[:, a] = t
         Q[:, a] = q
-        P[:, a] = p
         residual_norms.append(float(np.linalg.norm(Xd)))
 
-    model = PlsModel(
-        weights=W,
-        components=components,
-        x_standardizer=standardizer,
-        n_features=m,
-        n_classes=k,
-    )
-    trace = NipalsTrace(
-        x_scores=T,
-        y_weights=Q,
-        x_loadings=P,
-        x_residual_norms=np.array(residual_norms),
-    )
+    model = PlsModel(weights=W, x_standardizer=standardizer, n_classes=k)
+    trace = NipalsTrace(x_scores=T, y_weights=Q, x_residual_norms=np.array(residual_norms))
     return model, trace
 
 
@@ -257,15 +249,13 @@ def standardizer_from_payload(entry: dict, width: int, source) -> Standardizer:
 
 
 def model_from_payload(payload: dict, source: str = "<payload>") -> PlsModel:
-    """Decode a model_payload dict; every shape follows from its header."""
+    """Decode a model_payload dict; the stored n_features and components must fit the arrays."""
     fileio.check_header(payload, MODEL_FORMAT, MODEL_VERSION, source)
     with fileio.decoding(source):
         m = int(payload["n_features"])
         c = int(payload["components"])
         return PlsModel(
             weights=fileio.float_array(payload["weights"], (m, c), "weights", source),
-            components=c,
             x_standardizer=standardizer_from_payload(payload, m, source),
-            n_features=m,
             n_classes=int(payload["n_classes"]),
         )

@@ -474,6 +474,23 @@ def test_folds_and_runs_need_two(command, flag, capsys):
     assert f"{flag} must be >= 2" in capsys.readouterr().err
 
 
+def test_bounds_of_settings_a_command_does_not_take_are_not_checked(tmp_path, data_csv):
+    config = tmp_path / "shared.cfg"
+    config.write_text("folds = 1\n", encoding="utf-8")
+    rc = cli.main(
+        [
+            "train",
+            "--config", str(config),
+            "--data", str(data_csv),
+            "--rate", str(RATE),
+            "--epochs", "1",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    assert (tmp_path / "convnet1.params.json").exists()
+
+
 @pytest.mark.parametrize("command", ["project", "benchmark-time"])
 def test_model_layer_narrower_than_its_tap_exits_one(command, tmp_path, capsys):
     data = Path(__file__).parent / "data"

@@ -48,8 +48,7 @@ class TestRecall:
         assert evaluation.recall_macro(cm) == 1.0
 
     def test_hand_computed(self):
-        cm = evaluation.ConfusionMatrix(counts=np.array([[2, 0], [1, 1]]))
-        assert evaluation.recall_macro(cm) == 0.75
+        assert evaluation.recall_macro(np.array([[2, 0], [1, 1]])) == 0.75
 
     def test_uniform_predictions_approach_chance(self):
         k = 4
@@ -66,20 +65,18 @@ class TestRecall:
         rng = np.random.default_rng(1)
         counts = rng.integers(1, 20, size=(4, 4))
         perm = rng.permutation(4)
-        a = evaluation.recall_macro(evaluation.ConfusionMatrix(counts=counts))
-        b = evaluation.recall_macro(
-            evaluation.ConfusionMatrix(counts=counts[np.ix_(perm, perm)])
-        )
+        a = evaluation.recall_macro(counts)
+        b = evaluation.recall_macro(counts[np.ix_(perm, perm)])
         assert abs(a - b) <= 1e-15
 
     def test_empty_row_rejected(self):
-        cm = evaluation.ConfusionMatrix(counts=np.array([[3, 0], [0, 0]]))
         with pytest.raises(DegenerateClassError):
-            evaluation.recall_macro(cm)
+            evaluation.recall_macro(np.array([[3, 0], [0, 0]]))
 
     def test_total(self):
         cm = evaluation.confusion_matrix([0, 0, 1], [1, 0, 1], 2)
-        assert cm.total == 3
+        assert np.array_equal(cm, [[1, 1], [0, 1]])
+        assert cm.sum() == 3
 
 
 class TestKfold:
@@ -140,9 +137,6 @@ class TestRunCv:
         assert result.improvement_pp == pytest.approx(
             (result.mean_lhn - result.mean_baseline) * 100.0, abs=1e-12
         )
-        per_fold = result.fold_improvements_pp()
-        for i, (b, l) in enumerate(zip(result.baseline_recalls, result.lhn_recalls)):
-            assert per_fold[i] == pytest.approx((l - b) * 100.0, abs=1e-12)
 
     def test_deterministic(self, tiny_cv):
         ds, cfg, hyper, result = tiny_cv

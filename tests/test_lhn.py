@@ -153,13 +153,24 @@ def test_per_layer_fit_matches_direct_fit(trained):
         assert np.array_equal(direct.weights, fitted.weights)
 
 
-def test_transform_matches_training_latent_row(trained):
+@pytest.mark.parametrize("reduce", [True, False])
+def test_transform_matches_training_latent_row(trained, reduce, monkeypatch):
     ds, cfg, params = trained
-    model = lhn.lhn_fit(params, cfg, ds, components=4, classifier=TrainingConfig(epochs=1))
-    taps = lhn.collect_pool_features(params, cfg, ds)
-    latent = np.concatenate(
-        [pls.pls_transform(m, t) for m, t in zip(model.pls_models, taps)], axis=1
+    head_inputs = []
+    train_arrays = convnet.train_arrays
+
+    def recording(head_config, x, labels, hyper):
+        head_inputs.append(x)
+        return train_arrays(head_config, x, labels, hyper)
+
+    monkeypatch.setattr(convnet, "train_arrays", recording)
+    model = lhn.lhn_fit(
+        params, cfg, ds, components=4, classifier=TrainingConfig(epochs=1), reduce=reduce
     )
+    latent = lhn._project_taps(model, lhn.collect_pool_features(params, cfg, ds))
+    (x,) = head_inputs
+    assert x.shape == (len(ds), 1, model.latent_width, 1)
+    assert np.array_equal(x[:, 0, :, 0], latent)
     for j in (0, 17, len(ds) - 1):
         z = lhn.lhn_transform(model, params, cfg, ds.windows[j].values)
         assert np.abs(z - latent[j]).max() <= 1e-10
@@ -261,6 +272,15 @@ class TestExportProjection:
         model = lhn.lhn_fit(params, cfg, ds, components=1, classifier=TrainingConfig(epochs=1))
         with pytest.raises(ParameterError):
             lhn.export_projection(model, params, cfg, ds, "last")
+
+    def test_all_fits_its_own_two_components(self, trained):
+        ds, cfg, params = trained
+        for reduce in (True, False):
+            model = lhn.lhn_fit(
+                params, cfg, ds, components=1, classifier=TrainingConfig(epochs=1), reduce=reduce
+            )
+            rows = lhn.export_projection(model, params, cfg, ds, "all")
+            assert len(rows) == len(ds)
 
     def test_unreduced_model_cannot_export_last(self, trained):
         ds, cfg, params = trained
