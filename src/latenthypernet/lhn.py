@@ -215,12 +215,13 @@ def export_projection(
     """
     if layer_selector not in ("last", "all"):
         raise ParameterError(f"layer_selector must be 'last' or 'all', got {layer_selector!r}")
-    taps = collect_pool_features(params, config, dataset)
     if layer_selector == "last":
         if not model.reduced:
             raise ParameterError("projection export needs a model fitted with reduce=True")
         if model.layer_components[-1] < 2:
             raise ParameterError("last pool layer has fewer than 2 components; cannot export")
+    taps = collect_pool_features(params, config, dataset)
+    if layer_selector == "last":
         coords = pls.pls_transform(model.pls_models[-1], taps[-1])[:, :2]
     else:
         combined = np.concatenate(taps, axis=1)

@@ -245,6 +245,15 @@ def centroid_spread(rows):
     return float(np.mean(dists))
 
 
+def forbid_forward_pass(monkeypatch):
+    """Make tap collection fail, so a check that runs after it cannot pass."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("collect_pool_features ran before the export checks")
+
+    monkeypatch.setattr(lhn, "collect_pool_features", refuse)
+
+
 class TestExportProjection:
     def test_row_count_and_labels(self, trained, tmp_path):
         ds, cfg, params = trained
@@ -267,9 +276,10 @@ class TestExportProjection:
         both = lhn.export_projection(model, params, cfg, ds, "all")
         assert centroid_spread(both) >= centroid_spread(last)
 
-    def test_needs_two_components(self, trained):
+    def test_needs_two_components(self, trained, monkeypatch):
         ds, cfg, params = trained
         model = lhn.lhn_fit(params, cfg, ds, components=1, classifier=TrainingConfig(epochs=1))
+        forbid_forward_pass(monkeypatch)
         with pytest.raises(ParameterError):
             lhn.export_projection(model, params, cfg, ds, "last")
 
@@ -282,11 +292,12 @@ class TestExportProjection:
             rows = lhn.export_projection(model, params, cfg, ds, "all")
             assert len(rows) == len(ds)
 
-    def test_unreduced_model_cannot_export_last(self, trained):
+    def test_unreduced_model_cannot_export_last(self, trained, monkeypatch):
         ds, cfg, params = trained
         model = lhn.lhn_fit(
             params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=False
         )
+        forbid_forward_pass(monkeypatch)
         with pytest.raises(ParameterError):
             lhn.export_projection(model, params, cfg, ds, "last")
 

@@ -27,10 +27,15 @@ def power_iteration_top_eigvec(m, iters=500, seed=0):
 
 
 def nipals_oracle(x, y, components, tol=1e-13, max_iters=100_000):
-    """Plain NIPALS loop run to convergence; the reference for the closed form."""
+    """Plain NIPALS loop run to convergence; the reference for the closed form.
+
+    Returns the weights and the Frobenius norms of the explicitly deflated
+    feature block, starting with the undeflated one.
+    """
     xd = pls.standardize_apply(pls.standardize_fit(x), x)
     yd = y - y.mean(axis=0)
     weights = []
+    norms = [np.linalg.norm(xd)]
     for _ in range(components):
         u = yd[:, 0].copy()
         w_prev = None
@@ -49,7 +54,8 @@ def nipals_oracle(x, y, components, tol=1e-13, max_iters=100_000):
         xd = xd - np.outer(t, xd.T @ t / tt)
         yd = yd - np.outer(t, yd.T @ t / tt)
         weights.append(w)
-    return np.column_stack(weights)
+        norms.append(np.linalg.norm(xd))
+    return np.column_stack(weights), np.array(norms)
 
 
 class TestOneHot:
@@ -220,7 +226,32 @@ class TestNipals:
         x = rng.normal(size=(60, 40))
         y = pls.one_hot(rng.integers(0, 4, size=60), 4)
         model = pls.nipals_fit(x, y, 10)
-        assert np.abs(model.weights - nipals_oracle(x, y, 10)).max() <= 1e-8
+        weights, _ = nipals_oracle(x, y, 10)
+        assert np.abs(model.weights - weights).max() <= 1e-8
+
+    def test_wide_block_matches_deflating_nipals(self):
+        # shaped like a pool tap: more features than windows
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(40, 300))
+        y = pls.one_hot(rng.integers(0, 6, size=40), 6)
+        model, trace = pls.nipals_fit_trace(x, y, 19)
+        weights, norms = nipals_oracle(x, y, 19)
+        assert np.abs(model.weights - weights).max() <= 1e-8
+        np.testing.assert_allclose(trace.x_residual_norms, norms, rtol=1e-9, atol=0.0)
+
+    def test_residual_norm_at_component_limit(self):
+        # n - 1 components exhaust a centered n-row block; the closed-form
+        # norm of the last residual cancels to rounding noise around zero
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(30, 50))
+        y = pls.one_hot(rng.integers(0, 4, size=30), 4)
+        model, trace = pls.nipals_fit_trace(x, y, 29)
+        weights, norms = nipals_oracle(x, y, 29)
+        assert np.abs(model.weights - weights).max() <= 1e-8
+        np.testing.assert_allclose(trace.x_residual_norms[:-1], norms[:-1], rtol=1e-9, atol=0.0)
+        last = trace.x_residual_norms[-1]
+        assert np.isfinite(last) and last >= 0.0
+        assert last <= 1e-6 * trace.x_residual_norms[0]
 
     def test_absent_first_class_is_deterministic(self):
         # class 0 never occurs, so the first centered indicator column is zero
