@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one perfbench workload with alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload cv --pairs 10 --seconds 25
+
+Each pair runs `perfbench/run.py --trace 0` once from each checkout with the
+same seed (`--first-seed` + the pair's index). Even pairs run the parent
+first and odd pairs the change first, because the second run of a
+back-to-back pair tends to read slower. For every end-to-end metric listed
+in PARENT_DIR/BENCHMARK.json the script prints each side's median and
+quartiles, the change's wins out of the pairs (ties count for neither),
+whether that is a gain (wins in at least 9 of 10 pairs and medians apart by
+more than the parent's interquartile range) and whether the change's median
+is worse than the parent's by more than the metric's bound. The last line of
+standard output is the same summary with every run's values, as JSON.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and first and third quartiles (inclusive method)."""
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
+    """Summary of one metric over (parent, change) pairs.
+
+    A win is a pair where the change reads better than the parent. `gain`
+    holds when the change wins at least nine tenths of the pairs and the
+    medians differ, in the better direction, by more than the parent's
+    interquartile range. `worse_beyond_bound` holds when the change's median
+    is worse than the parent's by more than `bound`, relative to the parent.
+    """
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    sign = 1.0 if better == "higher" else -1.0
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    losses = sum(1 for p, c in pairs if sign * (c - p) < 0)
+    gap = sign * (change["median"] - parent["median"])
+    base = abs(parent["median"])
+    return {
+        "parent": parent,
+        "change": change,
+        "pairs": len(pairs),
+        "wins": wins,
+        "losses": losses,
+        "gain": wins >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"],
+        "worse_beyond_bound": -gap > bound * base,
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run from a checkout; returns its result line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # each side imports its own src/
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {out.returncode}\n{out.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir", type=Path)
+    parser.add_argument("change_dir", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    benchmark = json.loads((args.parent_dir / "BENCHMARK.json").read_text())
+    dirs = dict(zip(SIDES, (args.parent_dir.resolve(), args.change_dir.resolve())))
+    runs = {side: [] for side in SIDES}
+    for k in range(args.pairs):
+        seed = args.first_seed + k
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            result = run_once(dirs[side], args.workload, seed, args.seconds)
+            runs[side].append(result)
+            wall = result["metrics"].get("wall_s", {}).get("value")
+            print(f"# pair {k + 1}/{args.pairs} seed {seed} {side}: correct={result['correct']} "
+                  f"wall_s={wall}", flush=True)
+
+    summary = {}
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(runs["parent"], runs["change"])]
+        summary[name] = summarize(pairs, metric["better"], metric["bound"]) | {"values": pairs}
+
+    print(f"# workload {args.workload}, {args.pairs} pairs, {args.seconds:g} s per run, "
+          f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
+    print(f"# {'metric':24s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins  verdict")
+    for name, s in summary.items():
+        cells = [f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]" for q in (s["parent"], s["change"])]
+        verdict = "gain" if s["gain"] else "worse beyond bound" if s["worse_beyond_bound"] else "-"
+        print(f"  {name:24s} {cells[0]:>30s} {cells[1]:>30s} {s['wins']:>2d}/{s['pairs']:<3d} {verdict}")
+    correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
+    print(f"# correct on every run: {correct}")
+    print(json.dumps({"workload": args.workload, "seconds": args.seconds,
+                      "first_seed": args.first_seed, "correct": correct, "metrics": summary}))
+    return 0 if all(correct.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,13 +16,19 @@ the head, which flattens the last pool output and runs the dense layer and
 softmax. The batched forward runs both and returns every layer's output; a
 single window runs as a batch of one. The logits and everything the
 backward needs are read from those outputs. The latent hypernet's pool taps
-come from the trunk alone, so it never runs the dense head. The backward
-reuses the forward convolution: a layer's input gradient is the forward
-convolution of its zero-padded output gradient with the kernels flipped and
-transposed, and its kernel gradient is one contraction over sliding input
-windows. The first conv's input gradient is never formed, since its input
-is the data. Pooling keeps no argmax: the backward compares each row pair
-again and routes the gradient to the upper row where it is >= the lower.
+come from the trunk alone, so it never runs the dense head.
+
+The backward reads every layer's input and output from those outputs. Per
+stage it masks the pool-size gradient with the ReLU (the ReLU runs before
+the pool, so a pair's winning row is > 0 exactly where its pooled value is),
+then routes it to the conv size. Pooling keeps no argmax: the backward
+compares each row pair again and routes the gradient to the upper row where
+it is >= the lower. A conv's kernel gradient is one contraction of its output
+gradient with the sliding input windows. Its input gradient is col2im: one
+contraction of the output gradient with the kernels gives every output
+position's column of kh x kw input taps, and kh * kw shifted adds lay the
+columns onto the input. The first conv's input gradient is never formed,
+since its input is the data.
 
 A window enters the network as a single feature map of height t (time) and
 width equal to the channel count, so a kernel of shape 12x2 spans 12 time
@@ -259,19 +265,37 @@ def _conv_forward_batch(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) 
 
 
 def _conv_kernel_grads(x, kernels, grad_out):
-    """Kernel and bias gradients: grad_out contracted with every kh x kw input window."""
+    """Kernel and bias gradients: grad_out contracted with every kh x kw input window.
+
+    The windows are unfolded with the maps innermost, which is the memory order
+    of a pool output, and the result is put back in [filters, in_maps, kh, kw].
+    """
     windows = np.lib.stride_tricks.sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
-    grad_k = np.tensordot(grad_out, windows, axes=([0, 2, 3], [0, 2, 3]))
-    return grad_k, grad_out.sum(axis=(0, 2, 3))
+    windows = windows.transpose(0, 2, 3, 4, 5, 1)  # [b, oh, ow, kh, kw, in_maps]
+    grad_k = np.tensordot(grad_out, windows, axes=([0, 2, 3], [0, 1, 2]))
+    return grad_k.transpose(0, 3, 1, 2), grad_out.sum(axis=(0, 2, 3))
 
 
-def _conv_backward_batch(x, kernels, grad_out):
-    """Kernel, bias and input gradients; the input gradient is a full convolution."""
-    _, c, kh, kw = kernels.shape
-    grad_k, grad_b = _conv_kernel_grads(x, kernels, grad_out)
-    padded = np.pad(grad_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [in_maps, filters, kh, kw]
-    return grad_k, grad_b, _conv_forward_batch(padded, flipped, np.zeros(c))
+def _conv_input_grad(kernels, grad_out, input_shape):
+    """Input gradient by col2im: one contraction with the kernels, then kh x kw shifted adds.
+
+    The contraction is one stacked matrix product that gives, for each kernel
+    tap (i, j), the [in_maps] input gradient at every output position; tap
+    (i, j) of output position (r, q) lands on input row r + i, column q + j.
+    The adds run on a maps-last buffer, so each moves whole [rows, columns,
+    maps] blocks, and the [b, maps, h, w] result is a view of it.
+    """
+    filters, _, kh, kw = kernels.shape
+    b, maps, h, w = input_shape
+    _, _, oh, ow = grad_out.shape
+    taps = kernels.transpose(2, 3, 0, 1).reshape(kh * kw, filters, maps)
+    cols = np.matmul(grad_out.transpose(0, 2, 3, 1).reshape(-1, filters), taps)
+    cols = cols.reshape(kh, kw, b, oh, ow, maps)
+    grad_x = np.zeros((b, h, w, maps))
+    for i in range(kh):
+        for j in range(kw):
+            grad_x[:, i : i + oh, j : j + ow] += cols[i, j]
+    return grad_x.transpose(0, 3, 1, 2)
 
 
 def _row_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +313,10 @@ def _maxpool_forward_batch(x: np.ndarray) -> np.ndarray:
 def _maxpool_backward_batch(grad_out, x):
     """Route each gradient to the upper row of its pair where upper >= lower, else the lower."""
     upper, lower = _row_pairs(x)
-    upper_wins = upper >= lower
-    grad_x = np.zeros(x.shape)
+    grad_x = np.zeros_like(x)  # x's memory order, so the writes below run in it
     grad_upper, grad_lower = _row_pairs(grad_x)
-    grad_upper[...] = np.where(upper_wins, grad_out, 0.0)
-    grad_lower[...] = np.where(upper_wins, 0.0, grad_out)
+    np.multiply(grad_out, upper >= lower, out=grad_upper)
+    np.subtract(grad_out, grad_upper, out=grad_lower)  # grad_out where the lower row won, else 0
     return grad_x
 
 
@@ -341,15 +364,15 @@ def _backward_batch(params, x, outputs, grad_logits):
     grad_kernels, grad_biases = [None] * n, [None] * n
     g = grad_logits @ params.dense_weights.T
     for s in reversed(range(n)):
-        conv_out = outputs[2 * s]
-        g = _maxpool_backward_batch(g.reshape(outputs[2 * s + 1].shape), conv_out)
-        g = g * (conv_out > 0.0)
-        if s == 0:  # its input is the data: nothing upstream needs that gradient
-            grad_kernels[0], grad_biases[0] = _conv_kernel_grads(x, params.conv_kernels[0], g)
-        else:
-            grad_kernels[s], grad_biases[s], g = _conv_backward_batch(
-                outputs[2 * s - 1], params.conv_kernels[s], g
-            )
+        pooled = outputs[2 * s + 1]
+        # the ReLU ran before the pool, so a pair's winning row is > 0 exactly
+        # where its pooled value is: mask at pool size, then route
+        g = g.reshape(pooled.shape) * (pooled > 0.0)
+        g = _maxpool_backward_batch(g, outputs[2 * s])
+        x_in = x if s == 0 else outputs[2 * s - 1]
+        grad_kernels[s], grad_biases[s] = _conv_kernel_grads(x_in, params.conv_kernels[s], g)
+        if s > 0:  # the first conv's input is the data: nothing upstream needs that gradient
+            g = _conv_input_grad(params.conv_kernels[s], g, x_in.shape)
     return grad_kernels + grad_biases + [outputs[-3].T @ grad_logits, grad_logits.sum(axis=0)]
 
 

@@ -1,0 +1,54 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert bench_pairs.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0}
+
+
+def test_lower_is_better_gain():
+    # parent 1.50 +- small spread, change about 0.3 s faster in 9 of 10 pairs
+    parent = [1.50, 1.52, 1.48, 1.55, 1.47, 1.51, 1.49, 1.53, 1.50, 1.20]
+    change = [1.20, 1.22, 1.19, 1.25, 1.18, 1.21, 1.20, 1.23, 1.19, 1.21]
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower", 0.2)
+    assert (s["pairs"], s["wins"], s["losses"]) == (10, 9, 1)
+    assert s["parent"] == {"q1": 1.4825, "median": 1.50, "q3": 1.5175}
+    assert s["change"]["median"] == pytest.approx(1.205)
+    assert s["gain"] and not s["worse_beyond_bound"]
+
+
+def test_too_few_wins_is_no_gain():
+    parent = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    change = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 1.5]  # 8 wins, 1 tie, 1 loss
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower", 0.2)
+    assert (s["wins"], s["losses"]) == (8, 1)
+    assert not s["gain"]
+
+
+def test_gap_inside_parent_spread_is_no_gain():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]  # interquartile range 2.0
+    change = [p - 1.5 for p in parent]  # wins every pair, medians 1.5 apart
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower", 0.2)
+    assert s["wins"] == 5 and not s["gain"]
+
+
+def test_higher_is_better_and_bound():
+    # a recall falls from 0.9 to 0.7: worse by 22%, beyond a 0.2 bound
+    s = bench_pairs.summarize([(0.9, 0.7), (0.9, 0.7), (0.9, 0.7)], "higher", 0.2)
+    assert (s["wins"], s["losses"]) == (0, 3)
+    assert s["worse_beyond_bound"] and not s["gain"]
+    s = bench_pairs.summarize([(0.9, 0.75)], "higher", 0.2)  # worse by 17%
+    assert not s["worse_beyond_bound"]
+
+
+def test_unknown_direction_rejected():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([(1.0, 1.0)], "sideways", 0.2)

@@ -69,6 +69,48 @@ def toy_config(input_h=10, input_w=2, k=3):
         input_w=input_w,
     )
 
+def toy_wide_config():
+    """Two stages; the second conv has kw = 2 and 2 input maps."""
+    return convnet.NetworkConfig(
+        name="toy-wide",
+        layers=(
+            convnet.conv(2, 3, 2),
+            convnet.maxpool(),
+            convnet.conv(3, 2, 2),
+            convnet.maxpool(),
+            convnet.flatten(),
+            convnet.dense(3),
+            convnet.softmax(),
+        ),
+        input_h=12,
+        input_w=3,
+    )
+
+
+def backward_oracle(params, x, outputs, grad_logits):
+    """The backward as route-then-mask stages over loop convolutions.
+
+    Each stage routes the pool gradient to the full conv size, multiplies it
+    by conv_out > 0, and takes both conv gradients from conv_backward_oracle.
+    """
+    n = len(params.conv_kernels)
+    grad_kernels, grad_biases = [None] * n, [None] * n
+    g = grad_logits @ params.dense_weights.T
+    for s in reversed(range(n)):
+        conv_out = outputs[2 * s]
+        g = convnet._maxpool_backward_batch(g.reshape(outputs[2 * s + 1].shape), conv_out)
+        g = g * (conv_out > 0.0)
+        grad_biases[s] = g.sum(axis=(0, 2, 3))
+        x_in = x if s == 0 else outputs[2 * s - 1]
+        grad_kernels[s], g = conv_backward_oracle(x_in, params.conv_kernels[s], g)
+    return grad_kernels + grad_biases + [outputs[-3].T @ grad_logits, grad_logits.sum(axis=0)]
+
+
+def batch_gradients(params, x, labels):
+    outputs = convnet._forward_batch(params, x)
+    _, grad_logits = convnet._cross_entropy(outputs, labels)
+    return outputs, grad_logits, convnet._backward_batch(params, x, outputs, grad_logits)
+
 
 class TestPresets:
     def test_convnet1_pool1_shape(self):
@@ -202,11 +244,48 @@ class TestConvBackward:
         x = rng.normal(size=(3, 2, 9, 3))
         kernels = rng.normal(size=(4, 2, 4, 2))
         grad_out = rng.normal(size=(3, 4, 6, 2))
-        grad_k, grad_b, grad_x = convnet._conv_backward_batch(x, kernels, grad_out)
+        grad_k, grad_b = convnet._conv_kernel_grads(x, kernels, grad_out)
+        grad_x = convnet._conv_input_grad(kernels, grad_out, x.shape)
         oracle_k, oracle_x = conv_backward_oracle(x, kernels, grad_out)
         assert np.abs(grad_k - oracle_k).max() <= 1e-12
         assert np.abs(grad_x - oracle_x).max() <= 1e-12
         assert np.abs(grad_b - grad_out.sum(axis=(0, 2, 3))).max() <= 1e-12
+
+
+class TestBackwardBatch:
+    @pytest.mark.parametrize(
+        "cfg",
+        [toy_wide_config(), convnet.preset("convnet1", 64, 2, 4)],
+        ids=["toy-wide", "convnet1-64x2"],
+    )
+    def test_batch_is_the_sum_of_its_windows(self, cfg):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 1, cfg.input_h, cfg.input_w))
+        labels = np.array([0, 2, 1])
+        params = convnet.init_params(cfg, 4)
+        batch = batch_gradients(params, x, labels)[2]
+        singles = [batch_gradients(params, x[i : i + 1], labels[i : i + 1])[2] for i in range(3)]
+        for i, grad in enumerate(batch):
+            assert np.abs(grad - sum(single[i] for single in singles)).max() <= 1e-12
+
+    def test_dead_relu_units(self):
+        # a large negative bias zeroes both rows of every pair of those
+        # filters after the ReLU; a small one zeroes only some pairs
+        cfg = toy_wide_config()
+        params = convnet.init_params(cfg, 2)
+        params.conv_biases[0][1] = -100.0
+        params.conv_biases[1][0] = -100.0
+        params.conv_biases[1][2] = -0.3
+        x = np.random.default_rng(13).normal(size=(3, 1, 12, 3))
+        outputs, grad_logits, grads = batch_gradients(params, x, np.array([1, 0, 2]))
+        for s in range(2):
+            upper, lower = convnet._row_pairs(outputs[2 * s])
+            assert ((upper == 0.0) & (lower == 0.0)).any()
+        for got, want in zip(grads, backward_oracle(params, x, outputs, grad_logits)):
+            assert np.abs(got - want).max() <= 1e-12
+        n = len(params.conv_kernels)
+        assert np.all(grads[0][1] == 0.0) and grads[n][1] == 0.0
+        assert np.all(grads[1][0] == 0.0) and grads[n + 1][0] == 0.0
 
 
 class TestMaxPool:
@@ -338,21 +417,8 @@ class TestGradCheck:
 
     def test_second_conv_two_wide(self):
         # the first conv's input gradient is skipped, so only a later conv
-        # with kw > 1 exercises the padded full convolution end to end
-        cfg = convnet.NetworkConfig(
-            name="toy-wide",
-            layers=(
-                convnet.conv(2, 3, 2),
-                convnet.maxpool(),
-                convnet.conv(3, 2, 2),
-                convnet.maxpool(),
-                convnet.flatten(),
-                convnet.dense(3),
-                convnet.softmax(),
-            ),
-            input_h=12,
-            input_w=3,
-        )
+        # with kw > 1 exercises the col2im column shifts end to end
+        cfg = toy_wide_config()
         w = np.random.default_rng(9).normal(size=(12, 3))
         assert convnet.grad_check(cfg, w, label=2, seed=5) <= 1e-4
 
