@@ -16,7 +16,6 @@ cap the BLAS thread pool before numpy loads.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -154,19 +153,6 @@ def _require_file(path: str | None, what: str) -> str:
     return path
 
 
-def _infer_channels(path: str, label_column: str, subject_column: str | None) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-    skip = {label_column, subject_column}
-    channels = tuple(h.strip() for h in header if h.strip() not in skip)
-    if not channels:
-        raise SchemaError(f"{path}: no channel columns besides {label_column!r}")
-    return channels
-
-
 def _load_dataset(cfg: RunConfig, config=None):
     """The windowed CSV; given the network's config, windows of another shape exit 2."""
     from . import ingest
@@ -174,9 +160,8 @@ def _load_dataset(cfg: RunConfig, config=None):
     path = _require_file(cfg.data, "data")
     if cfg.rate is None:
         raise ParameterError("--rate (sampling rate in Hz) is required")
-    channels = cfg.channels or _infer_channels(path, cfg.label_column, cfg.subject_column)
     schema = ingest.CsvSchema(
-        channel_columns=channels,
+        channel_columns=cfg.channels or None,  # unset or empty: every other column
         sampling_rate_hz=cfg.rate,
         label_column=cfg.label_column,
         subject_column=cfg.subject_column,

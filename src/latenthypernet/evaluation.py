@@ -69,9 +69,8 @@ def kfold_split(labels, folds: int = 10, seed: int = 0) -> FoldAssignment:
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        for i in idx:
-            assignment[i] = cursor % folds
-            cursor += 1
+        assignment[idx] = (cursor + np.arange(idx.size)) % folds
+        cursor += idx.size
     return FoldAssignment(fold_of_window=assignment, folds=folds)
 
 
@@ -108,9 +107,15 @@ def run_cv(
     fold, fit the latent hypernet on the same training folds with the frozen
     network, and score it on the identical held-out windows. Per-fold seeds
     are derived from the master seed as seed * 1000 + fold; the latent
-    classifier trains with `hyper` and seed fold_seed + 1.
+    classifier trains with `hyper` and seed fold_seed + 1. A class with fewer
+    windows than folds, missing from some test fold, is refused up front.
     """
-    assignment = kfold_split(dataset.labels(), folds=folds, seed=seed)
+    labels = dataset.labels()
+    assignment = kfold_split(labels, folds=folds, seed=seed)
+    counts = np.bincount(labels, minlength=dataset.n_classes)
+    short = {dataset.class_names[c]: int(counts[c]) for c in np.flatnonzero(counts < folds)}
+    if short:
+        raise InputError(f"class(es) with fewer windows than the {folds} folds: {short}")
     k = dataset.n_classes
     baseline_recalls = []
     lhn_recalls = []

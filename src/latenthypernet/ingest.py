@@ -1,14 +1,16 @@
 """CSV ingestion and temporal windowing of multichannel sensor recordings.
 
-A recording is a contiguous run of rows sharing the same (label, subject)
-pair. Recordings are cut into fixed-length windows of t = floor(window
-seconds x sampling rate) samples; trailing samples that do not fill a whole
-window are dropped.
+load_csv, the one reader of the CSV layout, groups rows into recordings:
+contiguous runs sharing one (label, subject) pair. Recordings are cut into
+fixed-length windows of t = floor(window seconds x sampling rate) samples;
+trailing samples that do not fill a whole window are dropped.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +29,16 @@ from .errors import (
 class CsvSchema:
     """Column layout of an input CSV plus the capture rate of its rows."""
 
-    channel_columns: tuple[str, ...]
+    channel_columns: tuple[str, ...] | None  # None: every column but label and subject
     sampling_rate_hz: float
     label_column: str = "label"
     subject_column: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "channel_columns", tuple(self.channel_columns))
-        if not self.channel_columns:
-            raise ParameterError("schema needs at least one channel column")
+        if self.channel_columns is not None:
+            object.__setattr__(self, "channel_columns", tuple(self.channel_columns))
+            if not self.channel_columns:
+                raise ParameterError("schema needs at least one channel column")
         if self.sampling_rate_hz <= 0:
             raise ParameterError("sampling_rate_hz must be positive")
 
@@ -90,19 +93,26 @@ class Dataset:
 def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
     """Read recordings from a header-first, comma-separated UTF-8 file.
 
-    Rows are grouped into one recording per contiguous run of identical
-    (label, subject) values, preserving file order.
+    The channels are schema.channel_columns or, when that is None, every
+    header column but the label and subject, in header order. Blank rows are
+    skipped; each itertools.groupby run of identical (label, subject) values
+    is one recording, in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise InputError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        col_index = {name: i for i, name in enumerate(header)}
+        channels = schema.channel_columns
+        if channels is None:
+            keys = (schema.label_column, schema.subject_column)
+            channels = tuple(h for h in header if h not in keys)
+            if not channels:
+                raise SchemaError(f"{path}: no channel columns besides {schema.label_column!r}")
 
-        needed = [schema.label_column, *schema.channel_columns]
+        col_index = {name: i for i, name in enumerate(header)}
+        needed = [schema.label_column, *channels]
         if schema.subject_column is not None:
             needed.append(schema.subject_column)
         missing = [c for c in needed if c not in col_index]
@@ -111,37 +121,20 @@ def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
 
         label_i = col_index[schema.label_column]
         subject_i = col_index[schema.subject_column] if schema.subject_column else None
-        channel_is = [col_index[c] for c in schema.channel_columns]
+        cells = [(name, col_index[name]) for name in channels]
 
-        recordings: list[SensorRecording] = []
-        run_key: tuple | None = None
-        run_rows: list[list[float]] = []
-
-        def close_run():
-            if run_rows:
-                recordings.append(
-                    SensorRecording(
-                        samples=np.array(run_rows, dtype=np.float64),
-                        sampling_rate_hz=schema.sampling_rate_hz,
-                        label=run_key[0],
-                        subject_id=run_key[1],
-                    )
-                )
-
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        def parse(line_no: int, row: list[str]):
             try:
                 label = row[label_i].strip()
                 subject = row[subject_i].strip() if subject_i is not None else None
             except IndexError:
                 raise ParseError(f"{path}: row at line {line_no} is too short") from None
             values = []
-            for name, i in zip(schema.channel_columns, channel_is):
+            for name, i in cells:
+                cell = row[i] if i < len(row) else "<missing>"
                 try:
-                    value = float(row[i])
-                except (ValueError, IndexError):
-                    cell = row[i] if i < len(row) else "<missing>"
+                    value = float(cell)
+                except ValueError:
                     raise ParseError(
                         f"{path}: line {line_no}, column {name!r}: "
                         f"cannot parse {cell.strip()!r} as a number"
@@ -149,16 +142,21 @@ def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
                 if not math.isfinite(value):
                     raise ParseError(
                         f"{path}: line {line_no}, column {name!r}: "
-                        f"{row[i].strip()!r} is not a finite number"
+                        f"{cell.strip()!r} is not a finite number"
                     )
                 values.append(value)
-            key = (label, subject)
-            if key != run_key:
-                close_run()
-                run_key = key
-                run_rows = []
-            run_rows.append(values)
-        close_run()
+            return (label, subject), values
+
+        rows = (parse(line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+        recordings = [
+            SensorRecording(
+                samples=np.array([values for _, values in run], dtype=np.float64),
+                sampling_rate_hz=schema.sampling_rate_hz,
+                label=label,
+                subject_id=subject,
+            )
+            for (label, subject), run in itertools.groupby(rows, key=operator.itemgetter(0))
+        ]
 
     if not recordings:
         raise InputError(f"{path}: file has no data rows")
@@ -228,16 +226,15 @@ def build_dataset(
     class_names = tuple(sorted({rec.label for rec in recordings}))
     index_of = {name: i for i, name in enumerate(class_names)}
 
-    windows: list[Window] = []
-    counts = {name: 0 for name in class_names}
-    for rec in recordings:
-        ws = segment(rec, window_seconds, stride_samples, label_index=index_of[rec.label])
-        counts[rec.label] += len(ws)
-        windows.extend(ws)
-
-    empty = [name for name, c in counts.items() if c == 0]
+    windows = tuple(
+        window
+        for rec in recordings
+        for window in segment(rec, window_seconds, stride_samples, label_index=index_of[rec.label])
+    )
+    present = {window.label for window in windows}
+    empty = [name for i, name in enumerate(class_names) if i not in present]
     if empty:
         raise DegenerateClassError(
             f"class(es) {empty} produced no windows; recordings are shorter than one window"
         )
-    return Dataset(windows=tuple(windows), class_names=class_names, channels=channels)
+    return Dataset(windows=windows, class_names=class_names, channels=channels)

@@ -129,11 +129,14 @@ def lhn_fit(
 
 
 def check_tap_widths(model: LhnModel, config: NetworkConfig, source) -> None:
-    """Refuse a model whose per-layer input widths are not the network's pool-tap widths.
+    """Refuse a model whose layer widths or class count are not the network's.
 
-    A model file records only its network's digest, so the widths are
-    checked once the model is paired with a network.
+    A model file records only its network's digest, so these are checked
+    once the model is paired with a network.
     """
+    k = model.classifier_bias.size
+    if k != config.n_classes:
+        raise FormatError(f"{source}: classifier_bias holds {k} classes, not {config.n_classes}")
     shapes = convnet.propagate_shapes(config)
     taps = [int(np.prod(s)) for spec, s in zip(config.layers, shapes) if spec.kind == "maxpool"]
     if model.reduced:
@@ -272,7 +275,11 @@ def save_lhn(model: LhnModel, path) -> None:
 
 
 def load_lhn(path) -> LhnModel:
-    """Read a model file; every array and the stored layer_components copy must fit its widths."""
+    """Read a model file; every array and the stored layer_components copy must fit its widths.
+
+    Exactly one of pls_models and tap_standardizers is non-empty, and the
+    classifier and each PLS model are fitted for the same 2 or more classes.
+    """
     payload = fileio.read_model(path, MODEL_FORMAT, MODEL_VERSION)
     with fileio.decoding(path):
         layer_components = [int(v) for v in payload["layer_components"]]
@@ -299,9 +306,16 @@ def load_lhn(path) -> LhnModel:
             config_digest=payload["config_digest"],
             params_digest=payload["params_digest"],
         )
+    if bool(model.pls_models) == bool(model.tap_standardizers):
+        raise FormatError(f"{path}: exactly one of pls_models and tap_standardizers must be set")
     widths = model.layer_components
     if widths != layer_components:
         raise FormatError(
             f"{path}: per-layer widths {widths} disagree with layer_components {layer_components}"
         )
+    if bias.size < 2:
+        raise FormatError(f"{path}: classifier_bias holds {bias.size} classes, fewer than 2")
+    for i, n in enumerate(m.n_classes for m in model.pls_models):
+        if n != bias.size:
+            raise FormatError(f"{path}: pls_models[{i}].n_classes is {n}, not {bias.size}")
     return model

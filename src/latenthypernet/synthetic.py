@@ -71,10 +71,8 @@ def write_synthetic_csv(
     """
     dataset = make_synthetic_dataset(n_windows, window_len, seed, noise)
     samples = (  # a generator, so the rows are never all held at once
-        [name, repr(a), repr(b)]
-        for label, name in enumerate(dataset.class_names)
-        for window in dataset.windows
-        if window.label == label
+        [dataset.class_names[window.label], repr(a), repr(b)]
+        for window in dataset.windows  # generated class by class
         for a, b in window.values.tolist()
     )
     write_csv(path, itertools.chain([["label", "ax", "ay"]], samples))

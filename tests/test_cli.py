@@ -520,3 +520,47 @@ def test_model_layer_narrower_than_its_tap_exits_one(command, tmp_path, capsys):
     assert rc == 1
     assert "pls_models[0]" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_empty_channels_flag_reads_every_other_column(tmp_path, data_csv):
+    rc = cli.main(
+        [
+            "train",
+            "--data", str(data_csv),
+            "--rate", str(RATE),
+            "--channels", "",
+            "--epochs", "1",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    params = json.loads((tmp_path / "convnet1.params.json").read_text(encoding="utf-8"))
+    assert params["config"]["input_w"] == 2  # ax and ay
+
+
+def test_header_without_channels_exits_two(tmp_path, capsys):
+    csv_path = tmp_path / "labels.csv"
+    csv_path.write_text("label\nwalk\n", encoding="utf-8")
+    rc = cli.main(["train", "--data", str(csv_path), "--rate", "8", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {csv_path}: no channel columns besides 'label'\n"
+
+
+def test_class_smaller_than_folds_exits_two(tmp_path, data_csv, capsys):
+    lines = data_csv.read_text(encoding="utf-8").splitlines()
+    short = [l for l in lines if l.startswith("slow_burst,")][: 2 * WINDOW_LEN]
+    kept = [l for l in lines if not l.startswith("slow_burst,")] + short
+    csv_path = tmp_path / "short_class.csv"
+    csv_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    rc = cli.main(
+        [
+            "evaluate",
+            "--data", str(csv_path),
+            "--rate", str(RATE),
+            "--folds", "5",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert "{'slow_burst': 2}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

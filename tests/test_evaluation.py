@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,31 @@ class TestKfold:
         with pytest.raises(InputError):
             evaluation.kfold_split(np.zeros(5, dtype=int), folds=10)
 
+    def test_matches_per_window_dealing_oracle(self):
+        rng = np.random.default_rng(12)
+        for case in range(40):
+            folds = int(rng.integers(2, 12))
+            labels = rng.integers(0, int(rng.integers(1, 7)), size=int(rng.integers(folds, 300)))
+            seed = int(rng.integers(0, 2**31))
+            assert np.array_equal(
+                evaluation.kfold_split(labels, folds=folds, seed=seed).fold_of_window,
+                dealing_oracle(labels, folds, seed),
+            ), f"case {case}: {folds} folds, seed {seed}"
+
+
+def dealing_oracle(labels, folds, seed):
+    """Deal each class's shuffled windows one at a time, the cursor carried across classes."""
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(labels.size, dtype=np.int64)
+    cursor = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        for i in idx:
+            assignment[i] = cursor % folds
+            cursor += 1
+    return assignment
+
 
 @pytest.fixture(scope="module")
 def tiny_cv():
@@ -143,6 +169,19 @@ class TestRunCv:
         again = evaluation.run_cv(ds, cfg, hyper=hyper, components=4, seed=0, folds=3)
         assert again.baseline_recalls == result.baseline_recalls
         assert again.lhn_recalls == result.lhn_recalls
+
+    def test_class_smaller_than_folds_refused_before_training(self, monkeypatch):
+        ds = synthetic.make_synthetic_dataset(n_windows=40, window_len=48, seed=7)
+        keep = [w for w in ds.windows if w.label != 2] + [w for w in ds.windows if w.label == 2][:2]
+        ds = dataclasses.replace(ds, windows=keep)
+        cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a network was trained")
+
+        monkeypatch.setattr(convnet, "train", no_training)
+        with pytest.raises(InputError, match=r"5 folds.*\{'slow_burst': 2\}"):
+            evaluation.run_cv(ds, cfg, folds=5)
 
 
 class TestTimingStats:

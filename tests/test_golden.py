@@ -25,8 +25,10 @@ The expected labels are what that code predicted for the eight windows of
 make_synthetic_dataset(n_windows=8, window_len=16, seed=99).
 """
 import dataclasses
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latenthypernet import convnet, lhn, synthetic
@@ -73,3 +75,59 @@ def test_lhn_file_layer_widths_against_the_network(name, part):
     taller = dataclasses.replace(config, input_h=20)  # pool tap 0 becomes 3 x 9 x 1 = 27 wide
     with pytest.raises(FormatError, match=rf"{part}\[0\] takes 21 features, .* is 27 wide"):
         lhn.check_tap_widths(model, taller, "golden")
+
+
+def golden_payload(name):
+    return json.loads((DATA / f"golden.{name}.lhn.json").read_text(encoding="utf-8"))
+
+
+def with_classes(payload, k):
+    """The payload with its classifier cut to the first k classes."""
+    shape = payload["classifier_weights"]["shape"]
+    weights = np.array(payload["classifier_weights"]["data"]).reshape(shape)[:, :k]
+    payload["classifier_weights"] = {"shape": list(weights.shape), "data": weights.ravel().tolist()}
+    payload["classifier_bias"] = payload["classifier_bias"][:k]
+    for model in payload["pls_models"]:
+        model["n_classes"] = k
+    return payload
+
+
+def write_payload(tmp_path, payload):
+    path = tmp_path / "tampered.lhn.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", ["reduced", "unreduced"])
+def test_classifier_with_fewer_than_two_classes_refused(tmp_path, name, k):
+    path = write_payload(tmp_path, with_classes(golden_payload(name), k))
+    with pytest.raises(FormatError, match=f"classifier_bias holds {k} classes, fewer than 2"):
+        lhn.load_lhn(path)
+
+
+@pytest.mark.parametrize("name", ["reduced", "unreduced"])
+def test_head_narrower_than_the_network_refused_at_pairing(tmp_path, name):
+    _, config = convnet.load_params(DATA / "golden.params.json")
+    model = lhn.load_lhn(write_payload(tmp_path, with_classes(golden_payload(name), 3)))
+    with pytest.raises(FormatError, match="classifier_bias holds 3 classes, not 4"):
+        lhn.check_tap_widths(model, config, "golden")
+
+
+def test_pls_model_class_count_must_match_the_head(tmp_path):
+    payload = golden_payload("reduced")
+    payload["pls_models"][0]["n_classes"] = 7
+    with pytest.raises(FormatError, match=r"pls_models\[0\]\.n_classes is 7"):
+        lhn.load_lhn(write_payload(tmp_path, payload))
+
+
+@pytest.mark.parametrize("both", ["full", "empty"])
+def test_exactly_one_of_pls_models_and_standardizers(tmp_path, both):
+    payload = golden_payload("reduced")
+    if both == "full":
+        payload["tap_standardizers"] = golden_payload("unreduced")["tap_standardizers"]
+    else:
+        payload["pls_models"] = payload["layer_components"] = []
+        payload["classifier_weights"] = {"shape": [0, 4], "data": []}
+    with pytest.raises(FormatError, match="exactly one of pls_models and tap_standardizers"):
+        lhn.load_lhn(write_payload(tmp_path, payload))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from latenthypernet import ingest
 from latenthypernet.errors import (
     DegenerateClassError,
     InputError,
+    ParameterError,
     ParseError,
     SchemaError,
     ShapeError,
@@ -84,6 +87,56 @@ class TestLoadCsv:
         path = write(tmp_path, "label,ax,ay\n")
         with pytest.raises(InputError):
             ingest.load_csv(path, SCHEMA_2CH)
+
+    def test_unset_channels_are_the_other_columns_in_header_order(self, tmp_path):
+        schema = ingest.CsvSchema(None, sampling_rate_hz=10.0, subject_column="subject")
+        path = write(tmp_path, "ay, label ,gz,subject,ax\n1,A,2,s1,3\n4,A,5,s1,6\n")
+        recs = ingest.load_csv(path, schema)
+        assert [(r.label, r.subject_id) for r in recs] == [("A", "s1")]
+        assert recs[0].samples.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    @pytest.mark.parametrize("header", ["label", "label,subject", "subject,label"])
+    def test_no_channel_besides_label_and_subject(self, tmp_path, header):
+        schema = ingest.CsvSchema(None, sampling_rate_hz=10.0, subject_column="subject")
+        path = write(tmp_path, f"{header}\n")
+        message = f"{path}: no channel columns besides 'label'"
+        with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+            ingest.load_csv(path, schema)
+
+    def test_empty_channel_tuple_refused(self):
+        with pytest.raises(ParameterError, match="at least one channel column"):
+            ingest.CsvSchema(channel_columns=(), sampling_rate_hz=10.0)
+
+    def test_interleaved_runs_match_a_scan_oracle(self, tmp_path):
+        rng = np.random.default_rng(11)
+        lines = ["subject,ax,label,ay"]
+        for _ in range(400):
+            if rng.random() < 0.1:
+                lines.append("")
+            label, subject = rng.choice(["A", "B"]), rng.choice(["s1", "s2", "s3"])
+            lines.append(f"{subject},{rng.normal()!r},{label},{rng.normal()!r}")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        schema = ingest.CsvSchema(("ax", "ay"), sampling_rate_hz=10.0, subject_column="subject")
+        recs = ingest.load_csv(path, schema)
+        expected = recordings_oracle(lines)
+        assert [(r.label, r.subject_id) for r in recs] == [key for key, _ in expected]
+        for rec, (_, rows) in zip(recs, expected):
+            assert rec.samples.dtype == np.float64
+            assert np.array_equal(rec.samples, np.array(rows))
+            assert rec.sampling_rate_hz == 10.0
+
+
+def recordings_oracle(lines):
+    """Scan non-blank lines and start a new run wherever (label, subject) changes."""
+    runs = []
+    for line in lines[1:]:
+        if not line:
+            continue
+        subject, ax, label, ay = line.split(",")
+        if not runs or runs[-1][0] != (label, subject):
+            runs.append(((label, subject), []))
+        runs[-1][1].append([float(ax), float(ay)])
+    return runs
 
 
 class TestSegment:
