@@ -10,8 +10,8 @@ Settings resolve in precedence order: explicit flags, then LHN_OUT_DIR
 (output directory only), then the --config file, then the field defaults.
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 
-Heavy modules are imported inside the command handlers so LHN_THREADS can
-cap the BLAS thread pool before numpy loads.
+Heavy modules are imported inside the command handlers, so `lhn --help`
+loads no numpy.
 """
 from __future__ import annotations
 
@@ -393,15 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_env() -> None:
-    threads = os.environ.get("LHN_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is None:

@@ -14,7 +14,7 @@ class ShapeError(LhnError):
 
 
 class SchemaError(LhnError):
-    """A CSV header is missing a required column or has no channel column."""
+    """A CSV header is missing or repeats a column it needs, or has no channel column."""
 
 
 class ParseError(LhnError):

@@ -74,14 +74,6 @@ def kfold_split(labels, folds: int = 10, seed: int = 0) -> FoldAssignment:
     return FoldAssignment(fold_of_window=assignment, folds=folds)
 
 
-def _subset(dataset: Dataset, indices: np.ndarray) -> Dataset:
-    return Dataset(
-        windows=tuple(dataset.windows[i] for i in indices),
-        class_names=dataset.class_names,
-        channels=dataset.channels,
-    )
-
-
 @dataclass(frozen=True)
 class CvResult:
     baseline_recalls: tuple[float, ...]
@@ -121,8 +113,8 @@ def run_cv(
     lhn_recalls = []
     for fold in range(folds):
         fold_seed = seed * 1000 + fold
-        train_set = _subset(dataset, assignment.train_indices(fold))
-        test_set = _subset(dataset, assignment.test_indices(fold))
+        train_set = dataset.take(assignment.train_indices(fold))
+        test_set = dataset.take(assignment.test_indices(fold))
         y_true = test_set.labels()
 
         params = convnet.train(config, train_set, replace(hyper, seed=fold_seed))
@@ -257,7 +249,7 @@ def timing_benchmark(
         raise InputError("need at least 2 runs")
     if len(dataset) == 0:
         raise InputError("dataset is empty")
-    windows = [w.values for w in dataset.windows]
+    windows = dataset.stacked()
     for fn in (predict_a, predict_b):
         fn(windows[0])
     samples_a = np.empty(runs)

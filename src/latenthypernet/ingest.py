@@ -3,7 +3,8 @@
 load_csv, the one reader of the CSV layout, groups rows into recordings:
 contiguous runs sharing one (label, subject) pair. Recordings are cut into
 fixed-length windows of t = floor(window seconds x sampling rate) samples;
-trailing samples that do not fill a whole window are dropped.
+trailing samples that do not fill a whole window are dropped. Only this
+module walks a Dataset's windows; others call labels(), stacked(), take().
 """
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ class CsvSchema:
             object.__setattr__(self, "channel_columns", tuple(self.channel_columns))
             if not self.channel_columns:
                 raise ParameterError("schema needs at least one channel column")
+            if len(set(self.channel_columns)) < len(self.channel_columns):
+                raise ParameterError(f"channel columns {self.channel_columns} repeat a name")
         if self.sampling_rate_hz <= 0:
             raise ParameterError("sampling_rate_hz must be positive")
 
@@ -89,14 +92,23 @@ class Dataset:
         """All window values as one [n, t, channels] array."""
         return np.stack([w.values for w in self.windows])
 
+    def take(self, indices) -> Dataset:
+        """The windows at `indices`, in that order, with the same classes and channels."""
+        return Dataset(
+            windows=tuple(self.windows[i] for i in indices),
+            class_names=self.class_names,
+            channels=self.channels,
+        )
+
 
 def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
     """Read recordings from a header-first, comma-separated UTF-8 file.
 
     The channels are schema.channel_columns or, when that is None, every
-    header column but the label and subject, in header order. Blank rows are
-    skipped; each itertools.groupby run of identical (label, subject) values
-    is one recording, in file order.
+    header column but the label and subject, in header order. Each column it
+    reads (label, subject, channels) must appear once in the header. Blank
+    rows are skipped; each itertools.groupby run of identical (label,
+    subject) values is one recording, in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -118,6 +130,9 @@ def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
         missing = [c for c in needed if c not in col_index]
         if missing:
             raise SchemaError(f"{path}: header is missing column(s) {missing}")
+        repeated = [c for c in dict.fromkeys(needed) if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: header repeats column(s) {repeated}")
 
         label_i = col_index[schema.label_column]
         subject_i = col_index[schema.subject_column] if schema.subject_column else None

@@ -233,10 +233,7 @@ def export_projection(
         coords = pls.pls_transform(fresh, combined)
 
     names = dataset.class_names
-    rows = [
-        (float(c1), float(c2), names[w.label])
-        for (c1, c2), w in zip(coords, dataset.windows)
-    ]
+    rows = [(float(c1), float(c2), names[y]) for (c1, c2), y in zip(coords, dataset.labels())]
     if out_path is not None:
         fileio.write_csv(
             out_path,

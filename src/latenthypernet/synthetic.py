@@ -70,9 +70,9 @@ def write_synthetic_csv(
     value to segment with (the default 64 at 32 Hz means 2-second windows).
     """
     dataset = make_synthetic_dataset(n_windows, window_len, seed, noise)
-    samples = (  # a generator, so the rows are never all held at once
-        [dataset.class_names[window.label], repr(a), repr(b)]
-        for window in dataset.windows  # generated class by class
-        for a, b in window.values.tolist()
+    samples = (  # a generator, so the rows are never all held as strings at once
+        [dataset.class_names[label], repr(a), repr(b)]
+        for label, values in zip(dataset.labels().tolist(), dataset.stacked())  # class by class
+        for a, b in values.tolist()
     )
     write_csv(path, itertools.chain([["label", "ax", "ay"]], samples))

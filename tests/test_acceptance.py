@@ -297,8 +297,8 @@ def test_criterion_12_reduction_ablation_not_better(synthetic_dataset):
     raw_scores = []
     for fold in range(3):
         fold_seed = SEED * 1000 + fold
-        train_set = evaluation._subset(ds, assignment.train_indices(fold))
-        test_set = evaluation._subset(ds, assignment.test_indices(fold))
+        train_set = ds.take(assignment.train_indices(fold))
+        test_set = ds.take(assignment.test_indices(fold))
         y_true = test_set.labels()
         params = convnet.train(config, train_set, replace(CV_HYPER, seed=fold_seed))
         for reduce_flag, scores in ((True, reduced_scores), (False, raw_scores)):

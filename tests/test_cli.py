@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import latenthypernet
 from latenthypernet import cli, lhn, synthetic
 
 RATE = 8.0  # 40-sample windows at 8 Hz = 5-second windows
@@ -564,3 +568,53 @@ def test_class_smaller_than_folds_exits_two(tmp_path, data_csv, capsys):
     assert rc == 2
     assert "{'slow_burst': 2}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "header, flags, message",
+    [
+        ("label,ax,ax", [], "header repeats column(s) ['ax']"),
+        ("label,ax,ay", ["--channels", "ax,ay,ax"], "repeat a name"),
+    ],
+)
+def test_repeated_column_exits_two(tmp_path, capsys, header, flags, message):
+    csv_path = tmp_path / "repeated.csv"
+    csv_path.write_text(f"{header}\nwalk,1,2\n", encoding="utf-8")
+    rc = cli.main(
+        ["train", "--data", str(csv_path), "--rate", "8", "--out-dir", str(tmp_path), *flags]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter that finds this package, no BLAS variable set but env."""
+    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS + ("LHN_THREADS",)}
+    base["PYTHONPATH"] = str(Path(latenthypernet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**base, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_importing_cli_loads_no_numpy():
+    assert run_python("import sys, latenthypernet.cli; print('numpy' in sys.modules)") == ["False"]
+
+
+PRINT_THREAD_VARS = f"import os, latenthypernet; print(*map(os.environ.get, {_THREAD_VARS!r}))"
+
+
+def test_lhn_threads_caps_blas_on_package_import():
+    assert run_python(PRINT_THREAD_VARS, LHN_THREADS="3") == ["3", "3", "3"]
+
+
+def test_thread_variable_already_set_wins_over_lhn_threads():
+    printed = run_python(PRINT_THREAD_VARS, LHN_THREADS="3", OPENBLAS_NUM_THREADS="2")
+    assert printed == ["3", "2", "3"]

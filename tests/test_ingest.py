@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latenthypernet import ingest
+from latenthypernet import convnet, ingest
 from latenthypernet.errors import (
     DegenerateClassError,
     InputError,
@@ -106,6 +106,29 @@ class TestLoadCsv:
     def test_empty_channel_tuple_refused(self):
         with pytest.raises(ParameterError, match="at least one channel column"):
             ingest.CsvSchema(channel_columns=(), sampling_rate_hz=10.0)
+
+    @pytest.mark.parametrize(
+        "text, channels, subject, column",
+        [
+            ("label,ax,ax\nA,1,2\nA,3,4\n", None, None, "ax"),
+            ("label,ax,label\nA,1,B\nA,3,B\n", ("ax",), None, "label"),
+            ("subject,label,ax,subject\ns1,A,1,s2\n", ("ax",), "subject", "subject"),
+        ],
+    )
+    def test_repeated_column_it_reads_refused(self, tmp_path, text, channels, subject, column):
+        schema = ingest.CsvSchema(channels, sampling_rate_hz=10.0, subject_column=subject)
+        with pytest.raises(SchemaError, match=re.escape(f"header repeats column(s) [{column!r}]")):
+            ingest.load_csv(write(tmp_path, text), schema)
+
+    def test_repeated_unread_column_allowed(self, tmp_path):
+        path = write(tmp_path, "label,note,ax,note\nA,x,1,y\nA,x,3,y\n")
+        schema = ingest.CsvSchema(("ax",), sampling_rate_hz=10.0)
+        recs = ingest.load_csv(path, schema)
+        assert recs[0].samples.tolist() == [[1], [3]]
+
+    def test_repeated_channel_in_schema_refused(self):
+        with pytest.raises(ParameterError, match="repeat a name"):
+            ingest.CsvSchema(channel_columns=("ax", "ay", "ax"), sampling_rate_hz=10.0)
 
     def test_interleaved_runs_match_a_scan_oracle(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -251,3 +274,25 @@ class TestBuildDataset:
     def test_empty_recordings(self):
         with pytest.raises(InputError):
             ingest.build_dataset([], window_seconds=1.0)
+
+
+class TestTake:
+    @staticmethod
+    def dataset():
+        windows = [ingest.Window(values=np.full((64, 2), float(i)), label=i % 2) for i in range(5)]
+        return ingest.Dataset(windows=windows, class_names=("A", "B"), channels=2)
+
+    def test_keeps_the_given_order_classes_and_channels(self):
+        ds = self.dataset()
+        sub = ds.take(np.array([4, 0, 3]))
+        assert sub.stacked()[:, 0, 0].tolist() == [4.0, 0.0, 3.0]
+        assert sub.labels().tolist() == [0, 0, 1]
+        assert (sub.class_names, sub.channels) == (ds.class_names, ds.channels)
+
+    def test_empty_take_is_refused_at_predict(self):
+        sub = self.dataset().take([])
+        assert len(sub) == 0
+        assert sub.class_names == ("A", "B")
+        config = convnet.preset("convnet1", 64, 2, 2)
+        with pytest.raises(InputError, match="dataset is empty"):
+            convnet.predict_dataset(convnet.init_params(config, seed=0), config, sub)
