@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one perfbench workload with alternating pairs.
+"""Compare two checkouts on perfbench workloads with alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload cv --pairs 10 --seconds 25
 
-Each pair runs `perfbench/run.py --trace 0` once from each checkout with the
-same seed (`--first-seed` + the pair's index). Even pairs run the parent
-first and odd pairs the change first, because the second run of a
-back-to-back pair tends to read slower. For every end-to-end metric listed
+`--workload` may be given more than once (`--workload cv --workload online`);
+the workloads run in turn, each with its own pairs and its own table. Each
+pair runs `perfbench/run.py --trace 0` once from each checkout with the same
+seed (`--first-seed` + the pair's index). Even pairs run the parent first
+and odd pairs the change first, because the second run of a back-to-back
+pair tends to read slower. For every end-to-end metric listed
 in PARENT_DIR/BENCHMARK.json the script prints each side's median and
 quartiles, the change's wins out of the pairs (ties count for neither),
 whether that is a gain (wins in at least 9 of 10 pairs and medians apart by
 more than the parent's interquartile range) and whether the change's median
 is worse than the parent's by more than the metric's bound. The last line of
-standard output is the same summary with every run's values, as JSON.
+standard output is a JSON list with one such summary per workload, holding
+every run's values.
 """
 from __future__ import annotations
 
@@ -76,11 +79,49 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def compare(dirs: dict, benchmark: dict, workload: str, pairs: int, seconds: float,
+            first_seed: int) -> dict:
+    """Run one workload's alternating pairs and summarize every end-to-end metric."""
+    runs = {side: [] for side in SIDES}
+    for k in range(pairs):
+        seed = first_seed + k
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            result = run_once(dirs[side], workload, seed, seconds)
+            runs[side].append(result)
+            wall = result["metrics"].get("wall_s", {}).get("value")
+            print(f"# {workload} pair {k + 1}/{pairs} seed {seed} {side}: "
+                  f"correct={result['correct']} wall_s={wall}", flush=True)
+
+    summary = {}
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        values = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                  for p, c in zip(runs["parent"], runs["change"])]
+        summary[name] = summarize(values, metric["better"], metric["bound"]) | {"values": values}
+    correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
+    return {"workload": workload, "pairs": pairs, "seconds": seconds, "first_seed": first_seed,
+            "correct": correct, "metrics": summary}
+
+
+def print_table(result: dict) -> None:
+    """One workload's summary as a table of medians, quartiles, wins and verdicts."""
+    first, last = result["first_seed"], result["first_seed"] + result["pairs"] - 1
+    print(f"# workload {result['workload']}, {result['pairs']} pairs, "
+          f"{result['seconds']:g} s per run, seeds {first}-{last}")
+    print(f"# {'metric':24s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins  verdict")
+    for name, s in result["metrics"].items():
+        cells = [f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]" for q in (s["parent"], s["change"])]
+        verdict = "gain" if s["gain"] else "worse beyond bound" if s["worse_beyond_bound"] else "-"
+        print(f"  {name:24s} {cells[0]:>30s} {cells[1]:>30s} {s['wins']:>2d}/{s['pairs']:<3d} {verdict}")
+    print(f"# correct on every run: {result['correct']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a perfbench workload; give it once per workload to compare")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, default=1)
@@ -90,35 +131,12 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((args.parent_dir / "BENCHMARK.json").read_text())
     dirs = dict(zip(SIDES, (args.parent_dir.resolve(), args.change_dir.resolve())))
-    runs = {side: [] for side in SIDES}
-    for k in range(args.pairs):
-        seed = args.first_seed + k
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            result = run_once(dirs[side], args.workload, seed, args.seconds)
-            runs[side].append(result)
-            wall = result["metrics"].get("wall_s", {}).get("value")
-            print(f"# pair {k + 1}/{args.pairs} seed {seed} {side}: correct={result['correct']} "
-                  f"wall_s={wall}", flush=True)
-
-    summary = {}
-    for metric in benchmark["end_to_end"]:
-        name = metric["name"]
-        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                 for p, c in zip(runs["parent"], runs["change"])]
-        summary[name] = summarize(pairs, metric["better"], metric["bound"]) | {"values": pairs}
-
-    print(f"# workload {args.workload}, {args.pairs} pairs, {args.seconds:g} s per run, "
-          f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
-    print(f"# {'metric':24s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins  verdict")
-    for name, s in summary.items():
-        cells = [f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]" for q in (s["parent"], s["change"])]
-        verdict = "gain" if s["gain"] else "worse beyond bound" if s["worse_beyond_bound"] else "-"
-        print(f"  {name:24s} {cells[0]:>30s} {cells[1]:>30s} {s['wins']:>2d}/{s['pairs']:<3d} {verdict}")
-    correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
-    print(f"# correct on every run: {correct}")
-    print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "first_seed": args.first_seed, "correct": correct, "metrics": summary}))
-    return 0 if all(correct.values()) else 1
+    results = []
+    for workload in args.workload:
+        results.append(compare(dirs, benchmark, workload, args.pairs, args.seconds, args.first_seed))
+        print_table(results[-1])
+    print(json.dumps(results))
+    return 0 if all(all(r["correct"].values()) for r in results) else 1
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ Convolutions are valid (no padding), stride 1, cross-correlation semantics,
 each followed by a ReLU; every pooling is 2x1. Backpropagation is written
 out by hand and validated against central finite differences (grad_check).
 
-There is one convolution primitive: each convolution is one contraction of
-the kernels with every kh x kw sliding window of its input, plus the bias.
+There is one convolution primitive: each convolution is one matrix product
+of its input's window rows with the kernels, plus the bias. Each row is one
+kh x kw window with the maps innermost, the memory order conv and pool
+outputs already have, so building the rows is one strided view and one copy.
 The forward is split into the trunk, which runs the conv/pool stages, and
 the head, which flattens the last pool output and runs the dense layer and
 softmax. The batched forward runs both and returns every layer's output; a
@@ -23,8 +25,8 @@ stage it masks the pool-size gradient with the ReLU (the ReLU runs before
 the pool, so a pair's winning row is > 0 exactly where its pooled value is),
 then routes it to the conv size. Pooling keeps no argmax: the backward
 compares each row pair again and routes the gradient to the upper row where
-it is >= the lower. A conv's kernel gradient is one contraction of its output
-gradient with the sliding input windows. Its input gradient is col2im: one
+it is >= the lower. A conv's kernel gradient is the transposed output-gradient
+rows times the same window rows. Its input gradient is col2im: one
 contraction of the output gradient with the kernels gives every output
 position's column of kh x kw input taps, and kh * kw shifted adds lay the
 columns onto the input. The first conv's input gradient is never formed,
@@ -251,28 +253,41 @@ def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
 # ---------------------------------------------------------------------------
 
 
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Every kh x kw window of a [b, maps, h, w] batch as rows [b * oh * ow, kh * kw * maps].
+
+    A row holds its window in (kh, kw, maps) order, maps innermost. The rows
+    are one strided view over the maps-last copy of x, which is x itself for
+    conv and pool outputs, so the final reshape makes the only copy.
+    """
+    b, maps, h, w = x.shape
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # [b, h, w, maps]
+    sb, sh, sw, sm = x.strides
+    shape = (b, h - kh + 1, w - kw + 1, kh, kw, maps)
+    view = np.ndarray(shape, x.dtype, x, 0, (sb, sh, sw, sh, sw, sm))
+    return view.reshape(-1, kh * kw * maps)
+
+
 def _conv_forward_batch(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    _, c, h, w = x.shape
-    _, ck, kh, kw = kernels.shape
+    b, c, h, w = x.shape
+    filters, ck, kh, kw = kernels.shape
     if ck != c:
         raise ShapeError(f"kernel expects {ck} input maps, got {c}")
     if kh > h or kw > w:
         raise ShapeError(f"kernel {kh}x{kw} does not fit inside a {h}x{w} map")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    out = np.tensordot(windows, kernels, axes=([1, 4, 5], [1, 2, 3]))  # [b, oh, ow, filters]
+    out = _windows(x, kh, kw) @ kernels.transpose(2, 3, 1, 0).reshape(-1, filters)
     out += biases
-    return out.transpose(0, 3, 1, 2)
+    return out.reshape(b, h - kh + 1, w - kw + 1, filters).transpose(0, 3, 1, 2)
 
 
 def _conv_kernel_grads(x, kernels, grad_out):
-    """Kernel and bias gradients: grad_out contracted with every kh x kw input window.
+    """Kernel and bias gradients: the output-gradient rows times the window rows of x.
 
-    The windows are unfolded with the maps innermost, which is the memory order
-    of a pool output, and the result is put back in [filters, in_maps, kh, kw].
+    The product is [filters, (kh, kw, in_maps)], put back in [filters, in_maps, kh, kw].
     """
-    windows = np.lib.stride_tricks.sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
-    windows = windows.transpose(0, 2, 3, 4, 5, 1)  # [b, oh, ow, kh, kw, in_maps]
-    grad_k = np.tensordot(grad_out, windows, axes=([0, 2, 3], [0, 1, 2]))
+    filters, maps, kh, kw = kernels.shape
+    grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, filters)
+    grad_k = (grad_rows.T @ _windows(x, kh, kw)).reshape(filters, kh, kw, maps)
     return grad_k.transpose(0, 3, 1, 2), grad_out.sum(axis=(0, 2, 3))
 
 

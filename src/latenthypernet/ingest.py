@@ -42,6 +42,11 @@ class CsvSchema:
                 raise ParameterError("schema needs at least one channel column")
             if len(set(self.channel_columns)) < len(self.channel_columns):
                 raise ParameterError(f"channel columns {self.channel_columns} repeat a name")
+        if self.label_column == self.subject_column:
+            raise ParameterError(f"column {self.label_column!r} cannot be both label and subject")
+        for role, name in (("label", self.label_column), ("subject", self.subject_column)):
+            if name in (self.channel_columns or ()):
+                raise ParameterError(f"{role} column {name!r} cannot also be a channel")
         if self.sampling_rate_hz <= 0:
             raise ParameterError("sampling_rate_hz must be positive")
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,49 @@ def test_higher_is_better_and_bound():
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError):
         bench_pairs.summarize([(1.0, 1.0)], "sideways", 0.2)
+
+
+def test_each_workload_gets_its_pairs_and_table(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    benchmark = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}
+    (parent / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        wall = {"cv": 1.0, "online": 2.0}[workload] * (0.5 if checkout == change else 1.0)
+        return {"correct": True, "metrics": {"wall_s": {"value": wall}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    rc = bench_pairs.main([str(parent), str(change), "--workload", "cv", "--workload", "online",
+                           "--pairs", "2", "--seconds", "1", "--first-seed", "5"])
+    assert rc == 0
+    # workloads in turn; within one, the even pair runs the parent first, the odd pair the change
+    assert calls == [
+        ("parent", "cv", 5), ("change", "cv", 5), ("change", "cv", 6), ("parent", "cv", 6),
+        ("parent", "online", 5), ("change", "online", 5),
+        ("change", "online", 6), ("parent", "online", 6),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("# workload")] == [
+        "# workload cv, 2 pairs, 1 s per run, seeds 5-6",
+        "# workload online, 2 pairs, 1 s per run, seeds 5-6",
+    ]
+    summaries = json.loads(lines[-1])
+    assert [s["workload"] for s in summaries] == ["cv", "online"]
+    assert summaries[1]["metrics"]["wall_s"]["values"] == [[2.0, 1.0], [2.0, 1.0]]
+    assert summaries[0]["correct"] == {"parent": True, "change": True}
+
+
+def test_a_wrong_run_on_any_workload_fails(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        return {"correct": workload != "online", "metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    argv = [str(tmp_path), str(tmp_path), "--pairs", "1", "--seconds", "1"]
+    assert bench_pairs.main(argv + ["--workload", "cv"]) == 0
+    assert bench_pairs.main(argv + ["--workload", "cv", "--workload", "online"]) == 1

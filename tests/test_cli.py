@@ -575,6 +575,16 @@ def test_class_smaller_than_folds_exits_two(tmp_path, data_csv, capsys):
     [
         ("label,ax,ax", [], "header repeats column(s) ['ax']"),
         ("label,ax,ay", ["--channels", "ax,ay,ax"], "repeat a name"),
+        (
+            "label,subject,ax",
+            ["--channels", "ax,subject", "--subject-column", "subject"],
+            "subject column 'subject' cannot also be a channel",
+        ),
+        (
+            "label,subject,ax",
+            ["--label-column", "subject", "--subject-column", "subject"],
+            "cannot be both label and subject",
+        ),
     ],
 )
 def test_repeated_column_exits_two(tmp_path, capsys, header, flags, message):

@@ -55,6 +55,28 @@ def conv_backward_oracle(x, kernels, grad_out):
     return grad_k, grad_x
 
 
+def maps_last(x):
+    """x with the maps innermost in memory, as every conv after the first receives it."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -3, -1)), -1, -3)
+
+
+def column_slice(x):
+    """x as every other column of a twice-wider array: strided along the columns."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    return wide[..., ::2]
+
+
+def row_slice(x):
+    """x as the inner rows of an array with one extra row on each side."""
+    tall = np.zeros(x.shape[:-2] + (x.shape[-2] + 2, x.shape[-1]))
+    tall[..., 1:-1, :] = x
+    return tall[..., 1:-1, :]
+
+
+LAYOUTS = {"maps-last": maps_last, "column-slice": column_slice, "row-slice": row_slice}
+
+
 def toy_config(input_h=10, input_w=2, k=3):
     return convnet.NetworkConfig(
         name="toy",
@@ -231,6 +253,36 @@ class TestConvForward:
         assert out.shape == out_shape
         assert np.abs(out - conv_oracle(x, kernels, biases)).max() <= 1e-12
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize(
+        "x_shape, kernel_shape",
+        [((3, 20, 2), (4, 3, 5, 1)), ((2, 9, 3), (4, 2, 4, 2))],
+        ids=["one-wide-kernel", "two-wide-kernel"],
+    )
+    def test_loop_oracle_on_other_memory_layouts(self, x_shape, kernel_shape, layout):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=x_shape)
+        kernels = rng.normal(size=kernel_shape)
+        biases = rng.normal(size=kernel_shape[0])
+        strided = LAYOUTS[layout](x)
+        assert np.array_equal(strided, x) and not strided.flags.c_contiguous
+        out = convnet.conv2d_forward(strided, kernels, biases)
+        assert np.abs(out - conv_oracle(x, kernels, biases)).max() <= 1e-12
+
+    def test_on_a_traced_pool_output(self):
+        # convnet2 on 2-channel windows keeps both columns, so the second conv
+        # slides along them, over a maps-last view out of forward_with_taps
+        cfg = convnet.preset("convnet2", 64, 2, 3)
+        params = convnet.init_params(cfg, 4)
+        window = np.random.default_rng(4).normal(size=(64, 2))
+        trace = convnet.forward_with_taps(params, cfg, window)
+        pooled, conv2 = trace.layer_outputs[1], trace.layer_outputs[2]
+        kernels, biases = params.conv_kernels[1], params.conv_biases[1]
+        assert pooled.shape == (24, 29, 2) and not pooled.flags.c_contiguous
+        out = convnet.conv2d_forward(pooled, kernels, biases)
+        assert np.abs(out - conv_oracle(pooled, kernels, biases)).max() <= 1e-12
+        assert np.array_equal(np.maximum(out, 0.0), conv2)
+
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             convnet.conv2d_forward(np.zeros((1, 4, 2)), np.zeros((1, 1, 5, 1)), np.zeros(1))
@@ -246,6 +298,21 @@ class TestConvBackward:
         grad_out = rng.normal(size=(3, 4, 6, 2))
         grad_k, grad_b = convnet._conv_kernel_grads(x, kernels, grad_out)
         grad_x = convnet._conv_input_grad(kernels, grad_out, x.shape)
+        oracle_k, oracle_x = conv_backward_oracle(x, kernels, grad_out)
+        assert np.abs(grad_k - oracle_k).max() <= 1e-12
+        assert np.abs(grad_x - oracle_x).max() <= 1e-12
+        assert np.abs(grad_b - grad_out.sum(axis=(0, 2, 3))).max() <= 1e-12
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_loop_oracle_on_other_memory_layouts(self, layout):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 2, 9, 3))
+        kernels = rng.normal(size=(4, 2, 4, 2))
+        grad_out = rng.normal(size=(3, 4, 6, 2))
+        strided_x, strided_g = LAYOUTS[layout](x), LAYOUTS[layout](grad_out)
+        assert not (strided_x.flags.c_contiguous or strided_g.flags.c_contiguous)
+        grad_k, grad_b = convnet._conv_kernel_grads(strided_x, kernels, strided_g)
+        grad_x = convnet._conv_input_grad(kernels, strided_g, x.shape)
         oracle_k, oracle_x = conv_backward_oracle(x, kernels, grad_out)
         assert np.abs(grad_k - oracle_k).max() <= 1e-12
         assert np.abs(grad_x - oracle_x).max() <= 1e-12

@@ -130,6 +130,23 @@ class TestLoadCsv:
         with pytest.raises(ParameterError, match="repeat a name"):
             ingest.CsvSchema(channel_columns=("ax", "ay", "ax"), sampling_rate_hz=10.0)
 
+    @pytest.mark.parametrize(
+        "channels, label, subject, message",
+        [
+            # the subject ids would load as a second channel
+            (("ax", "subject"), "label", "subject", "subject column 'subject' cannot also be a channel"),
+            (("ax", "label"), "label", None, "label column 'label' cannot also be a channel"),
+            # one column would be both the label and the subject
+            (None, "subject", "subject", "column 'subject' cannot be both label and subject"),
+            (("ax",), "subject", "subject", "column 'subject' cannot be both label and subject"),
+        ],
+    )
+    def test_column_in_two_roles_refused(self, channels, label, subject, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            ingest.CsvSchema(
+                channels, sampling_rate_hz=10.0, label_column=label, subject_column=subject
+            )
+
     def test_interleaved_runs_match_a_scan_oracle(self, tmp_path):
         rng = np.random.default_rng(11)
         lines = ["subject,ax,label,ay"]

@@ -87,7 +87,25 @@ def test_tap_flattening_is_map_row_column(trained):
 def test_single_window_is_a_batch_of_one(trained):
     ds, cfg, params = trained
     model = lhn.lhn_fit(params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1))
+    assert_single_window_is_a_batch_of_one(ds, cfg, params, model)
+
+
+@pytest.mark.parametrize("name", ["convnet2", "convnet3"])
+def test_single_window_is_a_batch_of_one_on_deeper_presets(name):
+    # on 2-channel windows these presets' kernels are one column wide, so the
+    # windows slide along the columns too; 12 epochs make every class predicted
+    ds = synthetic.make_synthetic_dataset(n_windows=120, window_len=96, seed=6)
+    cfg = convnet.preset(name, ds.window_len, ds.channels, ds.n_classes)
+    assert convnet.propagate_shapes(cfg)[0][2] == 2
+    params = convnet.train(cfg, ds, TrainingConfig(epochs=12, seed=0))
+    model = lhn.lhn_fit(params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1))
+    assert_single_window_is_a_batch_of_one(ds, cfg, params, model)
+
+
+def assert_single_window_is_a_batch_of_one(ds, cfg, params, model):
+    """Each window's single-window predictions and taps equal its batched rows."""
     convnet_rows = convnet.predict_dataset(params, cfg, ds)
+    assert len(np.unique(convnet_rows)) == ds.n_classes
     lhn_rows = lhn.lhn_predict_dataset(model, params, cfg, ds)
     taps = lhn.collect_pool_features(params, cfg, ds)
     for j, window in enumerate(ds.windows):
