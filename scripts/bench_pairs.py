@@ -12,8 +12,10 @@ pair tends to read slower. For every end-to-end metric listed
 in PARENT_DIR/BENCHMARK.json the script prints each side's median and
 quartiles, the change's wins out of the pairs (ties count for neither),
 whether that is a gain (wins in at least 9 of 10 pairs and medians apart by
-more than the parent's interquartile range) and whether the change's median
-is worse than the parent's by more than the metric's bound. The last line of
+more than the parent's interquartile range), whether the change's median
+is worse than the parent's by more than the metric's bound, and whether the
+metric is unresolved: no gain, a parent spread too wide to tell a change
+within the bound, and a change that does not win every pair. The last line of
 standard output is a JSON list with one such summary per workload, holding
 every run's values.
 """
@@ -46,6 +48,10 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> di
     medians differ, in the better direction, by more than the parent's
     interquartile range. `worse_beyond_bound` holds when the change's median
     is worse than the parent's by more than `bound`, relative to the parent.
+    `unresolved` holds when there is no gain, the parent's interquartile
+    range is wider than `bound` relative to its median, so the runs cannot
+    tell a change within the bound from none, and the change does not win
+    every pair.
     """
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
@@ -56,14 +62,17 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> di
     losses = sum(1 for p, c in pairs if sign * (c - p) < 0)
     gap = sign * (change["median"] - parent["median"])
     base = abs(parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    gain = wins >= 0.9 * len(pairs) and gap > spread
     return {
         "parent": parent,
         "change": change,
         "pairs": len(pairs),
         "wins": wins,
         "losses": losses,
-        "gain": wins >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"],
+        "gain": gain,
         "worse_beyond_bound": -gap > bound * base,
+        "unresolved": not gain and spread > bound * base and wins < len(pairs),
     }
 
 
@@ -111,7 +120,8 @@ def print_table(result: dict) -> None:
     print(f"# {'metric':24s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins  verdict")
     for name, s in result["metrics"].items():
         cells = [f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]" for q in (s["parent"], s["change"])]
-        verdict = "gain" if s["gain"] else "worse beyond bound" if s["worse_beyond_bound"] else "-"
+        verdict = ("gain" if s["gain"] else "worse beyond bound" if s["worse_beyond_bound"]
+                   else "unresolved" if s["unresolved"] else "-")
         print(f"  {name:24s} {cells[0]:>30s} {cells[1]:>30s} {s['wins']:>2d}/{s['pairs']:<3d} {verdict}")
     print(f"# correct on every run: {result['correct']}")
 

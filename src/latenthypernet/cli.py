@@ -201,16 +201,7 @@ def _load_lhn_pair(cfg: RunConfig):
     model_path = _require_file(cfg.lhn_model, "lhn-model")
     params, config = convnet.load_params(params_path)
     model = lhn.load_lhn(model_path)
-    if model.config_digest != convnet.config_digest(config):
-        raise ParameterError(
-            f"{model_path} was fitted for architecture {model.config_name!r}, "
-            f"which does not match {params_path}"
-        )
-    if model.params_digest != convnet.params_digest(params):
-        raise ParameterError(
-            f"{model_path} was fitted on other weights than those in {params_path}"
-        )
-    lhn.check_tap_widths(model, config, model_path)
+    lhn.check_pair(model, params, config, f"{model_path} with {params_path}")
     return params, config, model
 
 

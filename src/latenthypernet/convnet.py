@@ -38,8 +38,10 @@ steps across 2 channels.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,6 +51,7 @@ from .errors import (
     ArchitectureError,
     FormatError,
     InputError,
+    NumericError,
     ParameterError,
     ShapeError,
     TrainingDivergedError,
@@ -106,8 +109,12 @@ class NetworkConfig:
     def n_classes(self) -> int:
         return propagate_shapes(self)[-1][0]
 
+    def tap_widths(self) -> list[int]:
+        """Flattened width of each pool tap, in layer order."""
+        return [math.prod(shape) for shape in propagate_shapes(self)[1:-3:2]]
+
     def pool_layer_count(self) -> int:
-        return (len(propagate_shapes(self)) - 3) // 2
+        return len(self.tap_widths())
 
 
 @dataclass(frozen=True)
@@ -429,14 +436,17 @@ def maxpool_forward(x) -> np.ndarray:
     return _maxpool_forward_batch(x[None])[0]
 
 
-def _check_window(config: NetworkConfig, window: np.ndarray) -> np.ndarray:
+def _check_window(config: NetworkConfig, window) -> np.ndarray:
+    """One window as a checked [1, 1, h, w] batch: the network's input shape, finite values."""
     window = np.asarray(window, dtype=np.float64)
     if window.shape != (config.input_h, config.input_w):
         raise ShapeError(
             f"window shape {window.shape} does not match network input "
             f"{(config.input_h, config.input_w)}"
         )
-    return window
+    if not np.isfinite(window).all():
+        raise NumericError("window holds non-finite values")
+    return window[None, None]
 
 
 def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> ForwardTrace:
@@ -444,21 +454,19 @@ def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> F
 
     The window runs as a batch of one; the layer outputs are views into that run.
     """
-    window = _check_window(config, window)
-    outputs = _forward_batch(params, window[None, None, :, :])
+    outputs = _forward_batch(params, _check_window(config, window))
     taps = tuple(out[0].reshape(-1) for out in outputs[1:-3:2])
     return ForwardTrace(tuple(out[0] for out in outputs), taps, outputs[-2][0])
 
 
 def predict(params: NetworkParams, config: NetworkConfig, window) -> int:
     """Class index with the largest logit; ties go to the lowest index."""
-    window = _check_window(config, window)
-    logits = _forward_batch(params, window[None, None, :, :])[-2]
+    logits = _forward_batch(params, _check_window(config, window))[-2]
     return int(np.argmax(logits[0]))
 
 
 def _dataset_batch(config: NetworkConfig, dataset: Dataset) -> np.ndarray:
-    """The dataset's windows as one [n, 1, h, w] batch, checked against the network input."""
+    """The dataset's windows as one [n, 1, h, w] batch, checked like _check_window."""
     if len(dataset) == 0:
         raise InputError("dataset is empty")
     if dataset.window_len != config.input_h or dataset.channels != config.input_w:
@@ -466,7 +474,11 @@ def _dataset_batch(config: NetworkConfig, dataset: Dataset) -> np.ndarray:
             f"dataset windows are {dataset.window_len}x{dataset.channels} but the "
             f"network expects {config.input_h}x{config.input_w}"
         )
-    return dataset.stacked()[:, None, :, :]
+    x = dataset.stacked()
+    finite = np.isfinite(x).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"window {np.argmin(finite)} holds non-finite values")
+    return x[:, None, :, :]
 
 
 def _chunks(x: np.ndarray):
@@ -562,9 +574,8 @@ def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> 
     Central differences with step 1e-5 over every parameter of a freshly
     initialized network; intended for small networks (<= 1e4 parameters).
     """
-    window = _check_window(config, window)
+    x = _check_window(config, window)
     params = init_params(config, seed)
-    x = window[None, None, :, :]
     labels = np.array([label])
     outputs = _forward_batch(params, x)
     _, grad_logits = _cross_entropy(outputs, labels)
@@ -614,8 +625,6 @@ def _config_from_payload(payload: dict) -> NetworkConfig:
 
 def config_digest(config: NetworkConfig) -> str:
     """Stable hash of the architecture, used to pair model files."""
-    import hashlib
-
     blob = json.dumps(_config_payload(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -626,14 +635,9 @@ def save_params(params: NetworkParams, config: NetworkConfig, path) -> None:
         PARAMS_FORMAT,
         PARAMS_VERSION,
         config=_config_payload(config),
-        conv_kernels=[
-            {"shape": list(k.shape), "data": k.reshape(-1).tolist()} for k in params.conv_kernels
-        ],
+        conv_kernels=[fileio.shaped_entry(k) for k in params.conv_kernels],
         conv_biases=[k.tolist() for k in params.conv_biases],
-        dense_weights={
-            "shape": list(params.dense_weights.shape),
-            "data": params.dense_weights.reshape(-1).tolist(),
-        },
+        dense_weights=fileio.shaped_entry(params.dense_weights),
         dense_bias=params.dense_bias.tolist(),
     )
 
@@ -672,8 +676,6 @@ def load_params(path) -> tuple[NetworkParams, NetworkConfig]:
 
 def params_digest(params: NetworkParams) -> str:
     """Hash of all parameter bytes; used to assert the freezing contract."""
-    import hashlib
-
     h = hashlib.sha256()
     for arr in params.arrays():
         h.update(np.ascontiguousarray(arr).tobytes())

@@ -19,6 +19,8 @@ from .convnet import NetworkConfig, TrainingConfig
 from .errors import DegenerateClassError, InputError, ParameterError
 from .ingest import Dataset
 
+ALPHA = 0.05  # two-sided level of the timing intervals and the t-test
+
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     """Counts [k, k]: rows are the true class, columns the predicted one."""
@@ -149,7 +151,7 @@ def run_cv(
 # ---------------------------------------------------------------------------
 
 
-def student_t_critical(dof: float, alpha: float = 0.05) -> float:
+def student_t_critical(dof: float, alpha: float = ALPHA) -> float:
     """Two-sided critical value of Student's t; dof may be fractional."""
     if dof < 1:
         raise ParameterError("degrees of freedom must be >= 1")
@@ -175,9 +177,7 @@ class TimingReport:
         return "equivalent" if self.equivalent else "not-equivalent"
 
 
-def timing_stats(
-    samples_a, samples_b, alpha: float = 0.05, welch: bool = False
-) -> TimingReport:
+def timing_stats(samples_a, samples_b, welch: bool = False) -> TimingReport:
     """Mean/CI per system plus an unpaired two-sample t-test.
 
     Default is the pooled equal-variance test; welch=True uses the unequal
@@ -193,8 +193,8 @@ def timing_stats(
     var_a = float(a.var(ddof=1))
     var_b = float(b.var(ddof=1))
 
-    ci_half_a = student_t_critical(na - 1, alpha) * math.sqrt(var_a / na)
-    ci_half_b = student_t_critical(nb - 1, alpha) * math.sqrt(var_b / nb)
+    ci_half_a = student_t_critical(na - 1) * math.sqrt(var_a / na)
+    ci_half_b = student_t_critical(nb - 1) * math.sqrt(var_b / nb)
 
     if welch:
         se2 = var_a / na + var_b / nb
@@ -214,7 +214,7 @@ def timing_stats(
         t_stat = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
     else:
         t_stat = diff / math.sqrt(se2)
-    critical = student_t_critical(dof, alpha)
+    critical = student_t_critical(dof)
     return TimingReport(
         samples_a=a,
         samples_b=b,
@@ -235,7 +235,6 @@ def timing_benchmark(
     predict_b,
     dataset: Dataset,
     runs: int = 30,
-    alpha: float = 0.05,
     welch: bool = False,
 ) -> TimingReport:
     """Wall-clock per-window prediction time of two predictors.
@@ -260,4 +259,4 @@ def timing_benchmark(
             for values in windows:
                 fn(values)
             out[r] = (time.perf_counter() - start) / len(windows)
-    return timing_stats(samples_a, samples_b, alpha=alpha, welch=welch)
+    return timing_stats(samples_a, samples_b, welch=welch)

@@ -6,10 +6,11 @@ LHN file nests per pool layer) is one JSON object ``{format, version,
 checks its format marker and version, and check_header does the same for a
 payload that is already parsed. Inside ``with decoding(source):`` a
 KeyError, TypeError or ValueError from a missing or mistyped field becomes
-a FormatError naming the file. float_array and shaped_array decode stored
-arrays: the caller passes the shape the file's own header implies, and the
-array must have that shape and hold only finite values. So a model file is
-rejected when it is loaded, not when predict trips over it.
+a FormatError naming the file. shaped_entry writes an array as a ``{shape,
+data}`` entry; float_array and shaped_array decode stored arrays: the caller
+passes the shape the file's own header implies, and the array must have that
+shape and hold only finite values. So a model file is rejected when it is
+loaded, not when predict trips over it.
 """
 from __future__ import annotations
 
@@ -102,6 +103,11 @@ def float_array(values, shape: tuple[int, ...], name: str, source) -> np.ndarray
     if not np.isfinite(arr).all():
         raise FormatError(f"{source}: {name} holds non-finite values")
     return arr.reshape(shape)
+
+
+def shaped_entry(arr: np.ndarray) -> dict:
+    """An array as a ``{shape, data}`` entry, data row-major; shaped_array reads it back."""
+    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
 def shaped_array(entry, shape: tuple[int, ...], name: str, source) -> np.ndarray:

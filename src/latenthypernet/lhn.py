@@ -9,7 +9,9 @@ network's weights are read, never written.
 Fitting one projection per stage (instead of one over the concatenated
 maps) keeps each fit small; a `reduce=False` switch skips the projections
 entirely and feeds z-scored raw taps to the classifier, for measuring what
-the reduction step contributes.
+the reduction step contributes. A model is valid only on the network it
+was fitted on; it records that network's architecture and weight digests,
+and check_pair is the one check that a model and a network belong together.
 """
 from __future__ import annotations
 
@@ -128,17 +130,23 @@ def lhn_fit(
     )
 
 
-def check_tap_widths(model: LhnModel, config: NetworkConfig, source) -> None:
-    """Refuse a model whose layer widths or class count are not the network's.
+def check_pair(model: LhnModel, params: NetworkParams, config: NetworkConfig, source) -> None:
+    """Refuse a model that was not fitted on this network.
 
-    A model file records only its network's digest, so these are checked
-    once the model is paired with a network.
+    Another architecture or other weights raise ParameterError. A class count
+    or a layer width other than the network's, which only a tampered file with
+    the right digests can hold, raises FormatError.
     """
+    if model.config_digest != convnet.config_digest(config):
+        raise ParameterError(
+            f"{source}: model was fitted for architecture {model.config_name!r}, not the network's"
+        )
+    if model.params_digest != convnet.params_digest(params):
+        raise ParameterError(f"{source}: model was fitted on other weights than the network's")
     k = model.classifier_bias.size
     if k != config.n_classes:
         raise FormatError(f"{source}: classifier_bias holds {k} classes, not {config.n_classes}")
-    shapes = convnet.propagate_shapes(config)
-    taps = [int(np.prod(s)) for spec, s in zip(config.layers, shapes) if spec.kind == "maxpool"]
+    taps = config.tap_widths()
     if model.reduced:
         part, widths = "pls_models", [m.n_features for m in model.pls_models]
     else:
@@ -155,6 +163,9 @@ def check_tap_widths(model: LhnModel, config: NetworkConfig, source) -> None:
 
 def _latent(pls_models, tap_standardizers, taps: list[np.ndarray]) -> np.ndarray:
     """Each tap through its layer's map, concatenated in layer order; fit and predict share it."""
+    layers = len(pls_models or tap_standardizers)
+    if len(taps) != layers:
+        raise ShapeError(f"network exposes {len(taps)} pool layers, model was fitted on {layers}")
     if pls_models:
         parts = [pls.pls_transform(m, t) for m, t in zip(pls_models, taps)]
     else:
@@ -162,22 +173,12 @@ def _latent(pls_models, tap_standardizers, taps: list[np.ndarray]) -> np.ndarray
     return np.concatenate(parts, axis=1)
 
 
-def _project_taps(model: LhnModel, taps: list[np.ndarray]) -> np.ndarray:
-    if len(taps) != model.pool_layer_count:
-        raise ShapeError(
-            f"network exposes {len(taps)} pool layers, model was fitted on "
-            f"{model.pool_layer_count}"
-        )
-    return _latent(model.pls_models, model.tap_standardizers, taps)
-
-
 def lhn_transform(
     model: LhnModel, params: NetworkParams, config: NetworkConfig, window
 ) -> np.ndarray:
     """Latent feature vector of one window: per-layer projections, in order."""
-    window = convnet._check_window(config, window)
-    taps = convnet._forward_taps(params, window[None, None, :, :])
-    return _project_taps(model, taps)[0]
+    taps = convnet._forward_taps(params, convnet._check_window(config, window))
+    return _latent(model.pls_models, model.tap_standardizers, taps)[0]
 
 
 def lhn_predict(
@@ -195,7 +196,8 @@ def lhn_predict_dataset(
     """Vectorized lhn_predict over a whole dataset, in chunks of convnet._CHUNK windows."""
 
     def logits(chunk: np.ndarray) -> np.ndarray:
-        latent = _project_taps(model, convnet._forward_taps(params, chunk))
+        taps = convnet._forward_taps(params, chunk)
+        latent = _latent(model.pls_models, model.tap_standardizers, taps)
         return latent @ model.classifier_weights + model.classifier_bias
 
     return convnet._argmax_chunks(convnet._dataset_batch(config, dataset), logits)
@@ -247,10 +249,6 @@ def export_projection(
 # ---------------------------------------------------------------------------
 
 
-def _standardizer_payload(s: pls.Standardizer) -> dict:
-    return {"means": s.means.tolist(), "stds": s.stds.tolist(), "epsilon": s.epsilon}
-
-
 def save_lhn(model: LhnModel, path) -> None:
     fileio.write_model(
         path,
@@ -262,11 +260,8 @@ def save_lhn(model: LhnModel, path) -> None:
         components=model.components,
         layer_components=model.layer_components,
         pls_models=[pls.model_payload(m) for m in model.pls_models],
-        tap_standardizers=[_standardizer_payload(s) for s in model.tap_standardizers],
-        classifier_weights={
-            "shape": list(model.classifier_weights.shape),
-            "data": model.classifier_weights.reshape(-1).tolist(),
-        },
+        tap_standardizers=[pls.standardizer_payload(s) for s in model.tap_standardizers],
+        classifier_weights=fileio.shaped_entry(model.classifier_weights),
         classifier_bias=model.classifier_bias.tolist(),
     )
 

@@ -257,6 +257,11 @@ def model_payload(model: PlsModel) -> dict:
     }
 
 
+def standardizer_payload(s: Standardizer) -> dict:
+    """JSON-ready means, stds and epsilon; standardizer_from_payload reads it back."""
+    return {"means": s.means.tolist(), "stds": s.stds.tolist(), "epsilon": s.epsilon}
+
+
 def standardizer_from_payload(entry: dict, width: int, source) -> Standardizer:
     """Decode stored means, stds and epsilon: `width` finite values each, stds > 0."""
     with fileio.decoding(source):

@@ -50,6 +50,34 @@ def test_higher_is_better_and_bound():
     assert not s["worse_beyond_bound"]
 
 
+def test_wide_spread_is_unresolved(capsys):
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]  # interquartile range 2.0, wider than 0.2 x median 3.0
+    change = [1.5, 1.8, 3.2, 3.9, 5.1]  # wins 2, loses 3
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower", 0.2)
+    assert (s["wins"], s["losses"]) == (2, 3)
+    assert s["unresolved"] and not s["gain"] and not s["worse_beyond_bound"]
+    bench_pairs.print_table({"workload": "cv", "pairs": 5, "seconds": 1, "first_seed": 1,
+                             "correct": {}, "metrics": {"wall_s": s}})
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if "wall_s" in line]
+    assert row.endswith(" unresolved")
+
+
+def test_wide_spread_the_change_wins_every_pair_of_is_resolved():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [p - 1.5 for p in parent]  # no gain: the gap is inside the spread
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower", 0.2)
+    assert s["wins"] == 5 and not s["gain"]
+    assert not s["unresolved"]
+
+
+def test_narrow_spread_is_resolved():
+    parent = [1.00, 1.01, 0.99, 1.00, 1.02]  # interquartile range 0.01, under 0.2 x median 1.0
+    change = [1.01, 1.00, 1.00, 1.02, 1.00]
+    s = bench_pairs.summarize(list(zip(parent, change)), "lower", 0.2)
+    assert s["losses"] > 0 and not s["gain"] and not s["worse_beyond_bound"]
+    assert not s["unresolved"]
+
+
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError):
         bench_pairs.summarize([(1.0, 1.0)], "sideways", 0.2)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import latenthypernet
-from latenthypernet import cli, lhn, synthetic
+from latenthypernet import cli, convnet, lhn, synthetic
 
 RATE = 8.0  # 40-sample windows at 8 Hz = 5-second windows
 WINDOW_LEN = 40
@@ -290,6 +290,22 @@ def test_model_paired_with_other_weights_exits_two(trained_files, tmp_path, caps
     )
     assert rc == 2
     assert "other weights" in capsys.readouterr().err
+    assert not (tmp_path / "projection_last.csv").exists()
+
+
+def test_model_paired_with_another_architecture_exits_two(trained_files, tmp_path, capsys):
+    data_csv, params_path, model_path = trained_files
+    config = convnet.preset("convnet2", 2 * WINDOW_LEN, 2, 4)
+    other = tmp_path / "convnet2.params.json"
+    convnet.save_params(convnet.init_params(config), config, other)
+    rc = cli.main(
+        ["project", "--data", str(data_csv), "--rate", str(RATE), "--window-seconds", "5",
+         "--params", str(other), "--lhn-model", str(model_path), "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fitted for architecture 'convnet1'" in err
+    assert str(model_path) in err and str(other) in err
     assert not (tmp_path / "projection_last.csv").exists()
 
 

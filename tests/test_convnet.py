@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -10,6 +11,7 @@ from latenthypernet.errors import (
     ArchitectureError,
     FormatError,
     InputError,
+    NumericError,
     ParameterError,
     ShapeError,
     TrainingDivergedError,
@@ -144,6 +146,14 @@ class TestPresets:
     def test_convnet3_exposes_four_taps(self):
         cfg = convnet.preset("convnet3", 500, 2, 12)
         assert cfg.pool_layer_count() == 4
+
+    @pytest.mark.parametrize("name", ["convnet1", "convnet2", "convnet3"])
+    def test_tap_widths_are_the_forward_taps(self, name):
+        cfg = convnet.preset(name, 128, 2, 4)
+        params = convnet.init_params(cfg, 0)
+        window = np.random.default_rng(1).normal(size=(128, 2))
+        taps = convnet.forward_with_taps(params, cfg, window).pool_taps
+        assert cfg.tap_widths() == [t.size for t in taps]
 
     def test_one_second_window_rejected_for_convnet3(self):
         with pytest.raises(ArchitectureError, match="conv"):
@@ -474,6 +484,44 @@ class TestPredict:
         trace = convnet.forward_with_taps(params, cfg, w)
         assert int(np.argmax(trace.logits)) == int(np.argmax(trace.layer_outputs[-1]))
         assert convnet.predict(params, cfg, w) == int(np.argmax(trace.logits))
+
+
+def with_value(ds, j, value, row=0):
+    """The dataset with the first channel of window j's given row set to value."""
+    values = ds.windows[j].values.copy()
+    values[row, 0] = value
+    windows = list(ds.windows)
+    windows[j] = dataclasses.replace(windows[j], values=values)
+    return dataclasses.replace(ds, windows=tuple(windows))
+
+
+class TestNonFiniteWindow:
+    """A non-finite input value is refused, not predicted or trained on."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        ds = synthetic.make_synthetic_dataset(n_windows=12, window_len=64, seed=0)
+        cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
+        return ds, cfg, convnet.init_params(cfg, 0)
+
+    # the last row only reaches conv1's odd trailing row, which the pool drops
+    @pytest.mark.parametrize("value, row", [(float("nan"), 0), (float("inf"), 0), (float("nan"), -1)])
+    def test_predict_and_forward_with_taps(self, net, value, row):
+        ds, cfg, params = net
+        window = with_value(ds, 0, value, row).windows[0].values
+        for run in (convnet.predict, convnet.forward_with_taps):
+            with pytest.raises(NumericError, match="window holds non-finite values"):
+                run(params, cfg, window)
+
+    def test_predict_dataset_names_the_window(self, net):
+        ds, cfg, params = net
+        with pytest.raises(NumericError, match="window 7 holds non-finite values"):
+            convnet.predict_dataset(params, cfg, with_value(ds, 7, float("nan"), -1))
+
+    def test_train_names_the_window(self, net):
+        ds, cfg, _ = net
+        with pytest.raises(NumericError, match="window 3 holds non-finite values"):
+            convnet.train(cfg, with_value(ds, 3, float("-inf")), TrainingConfig(epochs=1))
 
 
 class TestGradCheck:

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from latenthypernet import convnet, lhn, synthetic
-from latenthypernet.errors import FormatError
+from latenthypernet.errors import FormatError, ParameterError
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,14 +67,25 @@ def test_lhn_file(probe, tmp_path, name):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("name, part", [("reduced", "pls_models"), ("unreduced", "tap_standardizers")])
-def test_lhn_file_layer_widths_against_the_network(name, part):
-    _, config = convnet.load_params(DATA / "golden.params.json")
+@pytest.mark.parametrize("name", ["reduced", "unreduced"])
+def test_lhn_file_pairs_only_with_its_network(name):
+    params, config = convnet.load_params(DATA / "golden.params.json")
     model = lhn.load_lhn(DATA / f"golden.{name}.lhn.json")
-    lhn.check_tap_widths(model, config, "golden")
-    taller = dataclasses.replace(config, input_h=20)  # pool tap 0 becomes 3 x 9 x 1 = 27 wide
-    with pytest.raises(FormatError, match=rf"{part}\[0\] takes 21 features, .* is 27 wide"):
-        lhn.check_tap_widths(model, taller, "golden")
+    lhn.check_pair(model, params, config, "golden")
+    taller = dataclasses.replace(config, input_h=20)  # another architecture digest
+    with pytest.raises(ParameterError, match="fitted for architecture 'golden'"):
+        lhn.check_pair(model, convnet.init_params(taller), taller, "golden")
+    other = dataclasses.replace(params, dense_bias=params.dense_bias + 1.0)
+    with pytest.raises(ParameterError, match="other weights"):
+        lhn.check_pair(model, other, config, "golden")
+
+
+@pytest.mark.parametrize("name, part", [("reduced", "pls_models"), ("unreduced", "tap_standardizers")])
+def test_lhn_file_layer_widths_against_the_network(tmp_path, name, part):
+    params, config = convnet.load_params(DATA / "golden.params.json")
+    model = lhn.load_lhn(write_payload(tmp_path, with_layer0_width(golden_payload(name), 20)))
+    with pytest.raises(FormatError, match=rf"{part}\[0\] takes 20 features, .* is 21 wide"):
+        lhn.check_pair(model, params, config, "golden")
 
 
 def golden_payload(name):
@@ -89,6 +100,24 @@ def with_classes(payload, k):
     payload["classifier_bias"] = payload["classifier_bias"][:k]
     for model in payload["pls_models"]:
         model["n_classes"] = k
+    return payload
+
+
+def with_layer0_width(payload, width):
+    """The payload with layer 0's map cut to its first `width` tap features."""
+    if payload["pls_models"]:
+        layer = payload["pls_models"][0]
+        c = layer["components"]
+        layer["n_features"] = width
+        layer["weights"] = layer["weights"][: width * c]
+    else:
+        layer = payload["tap_standardizers"][0]
+        old, payload["layer_components"][0] = payload["layer_components"][0], width
+        # each raw tap feature is a latent column, so its classifier row goes too
+        entry = payload["classifier_weights"]
+        weights = np.delete(np.array(entry["data"]).reshape(entry["shape"]), range(width, old), axis=0)
+        payload["classifier_weights"] = {"shape": list(weights.shape), "data": weights.ravel().tolist()}
+    layer["means"], layer["stds"] = layer["means"][:width], layer["stds"][:width]
     return payload
 
 
@@ -108,10 +137,10 @@ def test_classifier_with_fewer_than_two_classes_refused(tmp_path, name, k):
 
 @pytest.mark.parametrize("name", ["reduced", "unreduced"])
 def test_head_narrower_than_the_network_refused_at_pairing(tmp_path, name):
-    _, config = convnet.load_params(DATA / "golden.params.json")
+    params, config = convnet.load_params(DATA / "golden.params.json")
     model = lhn.load_lhn(write_payload(tmp_path, with_classes(golden_payload(name), 3)))
     with pytest.raises(FormatError, match="classifier_bias holds 3 classes, not 4"):
-        lhn.check_tap_widths(model, config, "golden")
+        lhn.check_pair(model, params, config, "golden")
 
 
 def test_pls_model_class_count_must_match_the_head(tmp_path):

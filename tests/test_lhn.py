@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from latenthypernet.convnet import TrainingConfig
 from latenthypernet.errors import (
     DegenerateClassError,
     FormatError,
+    NumericError,
     ParameterError,
     ShapeError,
     UnsupportedVersionError,
@@ -185,7 +187,8 @@ def test_transform_matches_training_latent_row(trained, reduce, monkeypatch):
     model = lhn.lhn_fit(
         params, cfg, ds, components=4, classifier=TrainingConfig(epochs=1), reduce=reduce
     )
-    latent = lhn._project_taps(model, lhn.collect_pool_features(params, cfg, ds))
+    taps = lhn.collect_pool_features(params, cfg, ds)
+    latent = lhn._latent(model.pls_models, model.tap_standardizers, taps)
     (x,) = head_inputs
     assert x.shape == (len(ds), 1, model.latent_width, 1)
     assert np.array_equal(x[:, 0, :, 0], latent)
@@ -247,6 +250,31 @@ def test_window_shape_mismatch(trained):
     model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
     with pytest.raises(ShapeError):
         lhn.lhn_transform(model, params, cfg, np.zeros((10, 2)))
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_latent_refuses_a_tap_list_one_layer_short(trained, reduce):
+    ds, cfg, params = trained
+    model = lhn.lhn_fit(
+        params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=reduce
+    )
+    taps = lhn.collect_pool_features(params, cfg, ds)[:-1]
+    with pytest.raises(ShapeError, match="network exposes 1 pool layers, model was fitted on 2"):
+        lhn._latent(model.pls_models, model.tap_standardizers, taps)
+
+
+def test_non_finite_window_refused(trained):
+    ds, cfg, params = trained
+    model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
+    # the last row only reaches conv1's odd trailing row, which the pool drops
+    values = ds.windows[4].values.copy()
+    values[-1, 1] = np.nan
+    with pytest.raises(NumericError, match="window holds non-finite values"):
+        lhn.lhn_predict(model, params, cfg, values)
+    windows = list(ds.windows)
+    windows[4] = dataclasses.replace(windows[4], values=values)
+    with pytest.raises(NumericError, match="window 4 holds non-finite values"):
+        lhn.lhn_predict_dataset(model, params, cfg, dataclasses.replace(ds, windows=tuple(windows)))
 
 
 def centroid_spread(rows):
