@@ -13,6 +13,10 @@ There is one convolution primitive: each convolution is one matrix product
 of its input's window rows with the kernels, plus the bias. Each row is one
 kh x kw window with the maps innermost, the memory order conv and pool
 outputs already have, so building the rows is one strided view and one copy.
+Each kernel's memory is in (kh, kw, in_maps, filters) order, which is the
+kernel matrix that product reads, and NetworkParams.conv_kernels[i] is its
+[filters, in_maps, kh, kw] view. So the forward, the kernel gradient and the
+input gradient all read the stored kernels without a copy.
 The forward is split into the trunk, which runs the conv/pool stages, and
 the head, which flattens the last pool output and runs the dense layer and
 softmax. The batched forward runs both and returns every layer's output; a
@@ -113,9 +117,6 @@ class NetworkConfig:
         """Flattened width of each pool tap, in layer order."""
         return [math.prod(shape) for shape in propagate_shapes(self)[1:-3:2]]
 
-    def pool_layer_count(self) -> int:
-        return len(self.tap_widths())
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -130,7 +131,8 @@ class TrainingConfig:
 class NetworkParams:
     """Learned weights; shapes follow the owning NetworkConfig."""
 
-    conv_kernels: list[np.ndarray]  # each [filters, in_maps, kh, kw]
+    # each a [filters, in_maps, kh, kw] view of (kh, kw, in_maps, filters) memory
+    conv_kernels: list[np.ndarray]
     conv_biases: list[np.ndarray]  # each [filters]
     dense_weights: np.ndarray  # [flat_dim, units]
     dense_bias: np.ndarray  # [units]
@@ -238,6 +240,15 @@ def _param_shapes(config: NetworkConfig):
     return kernels, (shapes[-3][0], shapes[-2][0])
 
 
+def _stored_kernel(kernels: np.ndarray) -> np.ndarray:
+    """The same [filters, in_maps, kh, kw] values, viewed over (kh, kw, in_maps, filters) memory.
+
+    That memory is the kernel matrix the convolution multiplies by, so
+    kernels.transpose(2, 3, 1, 0).reshape(-1, filters) of the result is a view.
+    """
+    return np.ascontiguousarray(kernels.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
+
+
 def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
     """Fan-in scaled uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -245,7 +256,7 @@ def init_params(config: NetworkConfig, seed: int = 0) -> NetworkParams:
     kernels = []
     for shape in kernel_shapes:
         lim = 1.0 / np.sqrt(shape[1] * shape[2] * shape[3])  # fan-in
-        kernels.append(rng.uniform(-lim, lim, size=shape))
+        kernels.append(_stored_kernel(rng.uniform(-lim, lim, size=shape)))
     lim = 1.0 / np.sqrt(dense_shape[0])
     return NetworkParams(
         conv_kernels=kernels,
@@ -288,14 +299,16 @@ def _conv_forward_batch(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) 
 
 
 def _conv_kernel_grads(x, kernels, grad_out):
-    """Kernel and bias gradients: the output-gradient rows times the window rows of x.
+    """Kernel and bias gradients: the transposed window rows of x times the output-gradient rows.
 
-    The product is [filters, (kh, kw, in_maps)], put back in [filters, in_maps, kh, kw].
+    The product is [(kh, kw, in_maps), filters], the stored kernels' memory
+    order, and the kernel gradient is its [filters, in_maps, kh, kw] view, so
+    the momentum update runs in that order too.
     """
     filters, maps, kh, kw = kernels.shape
     grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, filters)
-    grad_k = (grad_rows.T @ _windows(x, kh, kw)).reshape(filters, kh, kw, maps)
-    return grad_k.transpose(0, 3, 1, 2), grad_out.sum(axis=(0, 2, 3))
+    grad_k = (_windows(x, kh, kw).T @ grad_rows).reshape(kh, kw, maps, filters)
+    return grad_k.transpose(3, 2, 0, 1), grad_out.sum(axis=(0, 2, 3))
 
 
 def _conv_input_grad(kernels, grad_out, input_shape):
@@ -305,7 +318,8 @@ def _conv_input_grad(kernels, grad_out, input_shape):
     tap (i, j), the [in_maps] input gradient at every output position; tap
     (i, j) of output position (r, q) lands on input row r + i, column q + j.
     The adds run on a maps-last buffer, so each moves whole [rows, columns,
-    maps] blocks, and the [b, maps, h, w] result is a view of it.
+    maps] blocks, and the [b, maps, h, w] result is a view of it. The taps
+    are a view of the stored kernels, so the product reads them in place.
     """
     filters, _, kh, kw = kernels.shape
     b, maps, h, w = input_shape
@@ -584,18 +598,18 @@ def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> 
     h = 1e-5
     worst = 0.0
     for arr, grad in zip(params.arrays(), grads):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        # index the array itself: a reshape of a non-contiguous kernel view
+        # would be a copy, and perturbing it would never reach the network
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + h
             up, _ = _cross_entropy(_forward_batch(params, x), labels)
-            flat[i] = orig - h
+            arr[i] = orig - h
             down, _ = _cross_entropy(_forward_batch(params, x), labels)
-            flat[i] = orig
+            arr[i] = orig
             numeric = (up - down) / (2.0 * h)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-6)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
+            denom = max(abs(grad[i]), abs(numeric), 1e-6)
+            worst = max(worst, abs(grad[i] - numeric) / denom)
     return worst
 
 
@@ -659,7 +673,7 @@ def load_params(path) -> tuple[NetworkParams, NetworkConfig]:
             )
         params = NetworkParams(
             conv_kernels=[
-                fileio.shaped_array(k, shape, f"conv_kernels[{i}]", path)
+                _stored_kernel(fileio.shaped_array(k, shape, f"conv_kernels[{i}]", path))
                 for i, (k, shape) in enumerate(zip(kernels, kernel_shapes))
             ],
             conv_biases=[

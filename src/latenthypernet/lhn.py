@@ -52,10 +52,6 @@ class LhnModel:
         return bool(self.pls_models)
 
     @property
-    def pool_layer_count(self) -> int:
-        return len(self.pls_models or self.tap_standardizers)
-
-    @property
     def layer_components(self) -> list[int]:
         """Effective latent width per pool layer."""
         if self.reduced:

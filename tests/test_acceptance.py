@@ -150,7 +150,7 @@ def test_criterion_05_shape_arithmetic():
     assert trace.pool_taps[0].size == 5856
 
     deep = convnet.preset("convnet3", 500, 2, 12)
-    assert deep.pool_layer_count() == 4
+    assert len(deep.tap_widths()) == 4
     deep_trace = convnet.forward_with_taps(
         convnet.init_params(deep, 0), deep, np.zeros((500, 2))
     )
@@ -162,7 +162,7 @@ def test_criterion_06_latent_width_for_deep_preset():
     config = convnet.preset("convnet3", ds.window_len, ds.channels, ds.n_classes)
     params = convnet.train(config, ds, TrainingConfig(epochs=2, seed=0))
     model = lhn.lhn_fit(params, config, ds, components=19, classifier=TrainingConfig(epochs=1))
-    assert model.pool_layer_count == 4
+    assert len(model.layer_components) == 4
     assert model.layer_components == [19, 19, 19, 19]
     assert model.latent_width == 76
     z = lhn.lhn_transform(model, params, config, ds.windows[0].values)

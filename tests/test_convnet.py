@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestPresets:
 
     def test_convnet3_exposes_four_taps(self):
         cfg = convnet.preset("convnet3", 500, 2, 12)
-        assert cfg.pool_layer_count() == 4
+        assert len(cfg.tap_widths()) == 4
 
     @pytest.mark.parametrize("name", ["convnet1", "convnet2", "convnet3"])
     def test_tap_widths_are_the_forward_taps(self, name):
@@ -363,6 +364,47 @@ class TestBackwardBatch:
         n = len(params.conv_kernels)
         assert np.all(grads[0][1] == 0.0) and grads[n][1] == 0.0
         assert np.all(grads[1][0] == 0.0) and grads[n + 1][0] == 0.0
+
+
+def forward_matrix_is_the_kernel(k):
+    """The forward's kernel matrix is a view of k, so building it copies nothing."""
+    return np.shares_memory(k.transpose(2, 3, 1, 0).reshape(-1, k.shape[0]), k)
+
+
+class TestKernelLayout:
+    @pytest.mark.parametrize(
+        "cfg",
+        [toy_wide_config(), convnet.preset("convnet1", 64, 2, 4), convnet.preset("convnet3", 128, 2, 4)],
+        ids=["toy-wide", "convnet1-64x2", "convnet3-128x2"],
+    )
+    def test_initialized_and_trained_kernels(self, cfg):
+        params = convnet.init_params(cfg, 0)
+        assert all(forward_matrix_is_the_kernel(k) for k in params.conv_kernels)
+        x = np.random.default_rng(21).normal(size=(8, 1, cfg.input_h, cfg.input_w))
+        labels = np.arange(8) % cfg.n_classes
+        grads = batch_gradients(params, x, labels)[2][: len(params.conv_kernels)]
+        assert all(g.transpose(2, 3, 1, 0).flags.c_contiguous for g in grads)
+        trained = convnet.train_arrays(cfg, x, labels, TrainingConfig(epochs=2, batch_size=4))
+        assert all(forward_matrix_is_the_kernel(k) for k in trained.conv_kernels)
+
+    def test_loaded_kernels(self):
+        params, _ = convnet.load_params(Path(__file__).parent / "data" / "golden.params.json")
+        assert all(forward_matrix_is_the_kernel(k) for k in params.conv_kernels)
+
+    def test_kernel_assigned_in_logical_layout(self):
+        cfg = toy_wide_config()
+        params = convnet.init_params(cfg, 3)
+        logical = dataclasses.replace(
+            params, conv_kernels=[np.ascontiguousarray(k) for k in params.conv_kernels]
+        )
+        assert not forward_matrix_is_the_kernel(logical.conv_kernels[1])  # 2 input maps: a copy
+        x = np.random.default_rng(22).normal(size=(5, 1, cfg.input_h, cfg.input_w))
+        labels = np.array([0, 1, 2, 1, 0])
+        for got, want in zip(batch_gradients(logical, x, labels), batch_gradients(params, x, labels)):
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12
+        for window in x[:, 0]:
+            assert convnet.predict(logical, cfg, window) == convnet.predict(params, cfg, window)
 
 
 class TestMaxPool:

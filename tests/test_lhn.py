@@ -135,7 +135,7 @@ def test_predict_dataset_projects_in_chunks(trained, monkeypatch):
     monkeypatch.setattr(pls, "pls_transform", recording)
     labels = lhn.lhn_predict_dataset(model, params, cfg, big)
     assert max(rows) <= convnet._CHUNK
-    assert sum(rows) == len(big) * model.pool_layer_count
+    assert sum(rows) == len(big) * len(model.layer_components)
     assert labels.tolist() == expected
 
 
