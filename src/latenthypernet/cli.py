@@ -37,7 +37,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ParameterError(f"cannot parse {text!r} as a boolean")
+    raise ValueError(f"cannot parse {text!r} as a boolean")
 
 
 def _parse_channels(text: str) -> tuple[str, ...]:

@@ -38,7 +38,12 @@ since its input is the data.
 
 A window enters the network as a single feature map of height t (time) and
 width equal to the channel count, so a kernel of shape 12x2 spans 12 time
-steps across 2 channels.
+steps across 2 channels. Every window passes one gate, _checked_batch,
+whether it comes alone or in a dataset: a single window is window 0 of a
+batch of one. It refuses a window of another shape ("windows are 80x2 but
+the network expects 64x2") and one with a nan or an infinity ("window 7
+holds non-finite values", the first bad window's index). Training refuses a
+class index outside [0, k), by ingest.class_indices.
 """
 from __future__ import annotations
 
@@ -60,7 +65,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .ingest import Dataset
+from .ingest import Dataset, class_indices
 
 PARAMS_FORMAT = "convnet-params"
 PARAMS_VERSION = 1
@@ -125,6 +130,13 @@ class TrainingConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ParameterError(
+                f"training needs epochs >= 1 and batch_size >= 1, "
+                f"got {self.epochs} and {self.batch_size}"
+            )
 
 
 @dataclass
@@ -450,17 +462,22 @@ def maxpool_forward(x) -> np.ndarray:
     return _maxpool_forward_batch(x[None])[0]
 
 
-def _check_window(config: NetworkConfig, window) -> np.ndarray:
-    """One window as a checked [1, 1, h, w] batch: the network's input shape, finite values."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (config.input_h, config.input_w):
+def _checked_batch(config: NetworkConfig, windows: np.ndarray) -> np.ndarray:
+    """An [n, h, w] float64 array as the network's [n, 1, h, w] batch; the one input gate.
+
+    Every window must be input_h x input_w and hold only finite values; a
+    refusal names the first bad window by its index, so a single window,
+    passed as a batch of one, is window 0.
+    """
+    if windows.shape[1:] != (config.input_h, config.input_w):
+        got = "x".join(map(str, windows.shape[1:])) or "scalars"
         raise ShapeError(
-            f"window shape {window.shape} does not match network input "
-            f"{(config.input_h, config.input_w)}"
+            f"windows are {got} but the network expects {config.input_h}x{config.input_w}"
         )
-    if not np.isfinite(window).all():
-        raise NumericError("window holds non-finite values")
-    return window[None, None]
+    if not np.isfinite(windows).all():
+        bad = np.argmin(np.isfinite(windows).all(axis=(1, 2)))
+        raise NumericError(f"window {bad} holds non-finite values")
+    return windows[:, None]
 
 
 def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> ForwardTrace:
@@ -468,31 +485,24 @@ def forward_with_taps(params: NetworkParams, config: NetworkConfig, window) -> F
 
     The window runs as a batch of one; the layer outputs are views into that run.
     """
-    outputs = _forward_batch(params, _check_window(config, window))
+    x = _checked_batch(config, np.asarray(window, dtype=np.float64)[None])
+    outputs = _forward_batch(params, x)
     taps = tuple(out[0].reshape(-1) for out in outputs[1:-3:2])
     return ForwardTrace(tuple(out[0] for out in outputs), taps, outputs[-2][0])
 
 
 def predict(params: NetworkParams, config: NetworkConfig, window) -> int:
     """Class index with the largest logit; ties go to the lowest index."""
-    logits = _forward_batch(params, _check_window(config, window))[-2]
+    x = _checked_batch(config, np.asarray(window, dtype=np.float64)[None])
+    logits = _forward_batch(params, x)[-2]
     return int(np.argmax(logits[0]))
 
 
 def _dataset_batch(config: NetworkConfig, dataset: Dataset) -> np.ndarray:
-    """The dataset's windows as one [n, 1, h, w] batch, checked like _check_window."""
+    """The dataset's windows as one [n, 1, h, w] batch, through _checked_batch."""
     if len(dataset) == 0:
         raise InputError("dataset is empty")
-    if dataset.window_len != config.input_h or dataset.channels != config.input_w:
-        raise ShapeError(
-            f"dataset windows are {dataset.window_len}x{dataset.channels} but the "
-            f"network expects {config.input_h}x{config.input_w}"
-        )
-    x = dataset.stacked()
-    finite = np.isfinite(x).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericError(f"window {np.argmin(finite)} holds non-finite values")
-    return x[:, None, :, :]
+    return _checked_batch(config, dataset.stacked())
 
 
 def _chunks(x: np.ndarray):
@@ -529,15 +539,17 @@ def train_arrays(
 ) -> NetworkParams:
     """Mini-batch SGD with momentum on softmax cross-entropy.
 
-    x is [n, 1, h, w]; labels are class indices. Deterministic for a fixed
-    seed: weight init uses hyper.seed, epoch shuffling uses hyper.seed + 1.
-    Logs one `epoch,loss,train_recall` line per epoch when log_stream is
-    given (recall is the running macro recall over that epoch's batches).
+    x is [n, 1, h, w]; labels are class indices in [0, k), checked once per
+    call. Deterministic for a fixed seed: weight init uses hyper.seed, epoch
+    shuffling uses hyper.seed + 1. Logs one `epoch,loss,train_recall` line
+    per epoch when log_stream is given (recall is the running macro recall
+    over that epoch's batches).
     """
     n = x.shape[0]
     if n == 0:
         raise InputError("training needs at least one window")
     k = config.n_classes
+    labels = class_indices(labels, k)
     params = init_params(config, hyper.seed)
     shuffle_rng = np.random.default_rng(hyper.seed + 1)
 
@@ -588,7 +600,7 @@ def grad_check(config: NetworkConfig, window, label: int = 0, seed: int = 0) -> 
     Central differences with step 1e-5 over every parameter of a freshly
     initialized network; intended for small networks (<= 1e4 parameters).
     """
-    x = _check_window(config, window)
+    x = _checked_batch(config, np.asarray(window, dtype=np.float64)[None])
     params = init_params(config, seed)
     labels = np.array([label])
     outputs = _forward_batch(params, x)

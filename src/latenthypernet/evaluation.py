@@ -17,15 +17,15 @@ from scipy import stats
 from . import convnet, lhn
 from .convnet import NetworkConfig, TrainingConfig
 from .errors import DegenerateClassError, InputError, ParameterError
-from .ingest import Dataset
+from .ingest import Dataset, class_indices
 
 ALPHA = 0.05  # two-sided level of the timing intervals and the t-test
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
-    """Counts [k, k]: rows are the true class, columns the predicted one."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    """Counts [k, k]: rows are the true class, columns the predicted one; both in [0, k)."""
+    y_true = class_indices(y_true, n_classes)
+    y_pred = class_indices(y_pred, n_classes)
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
     return counts

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,10 +31,13 @@ def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place.
 
     An interrupted run therefore never leaves a half-written file at `path`.
+    The temp file is created with mode 0o666 less the umask, the mode a plain
+    open(path, "w") gives a new file.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

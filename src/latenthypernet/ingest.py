@@ -5,6 +5,7 @@ contiguous runs sharing one (label, subject) pair. Recordings are cut into
 fixed-length windows of t = floor(window seconds x sampling rate) samples;
 trailing samples that do not fill a whole window are dropped. Only this
 module walks a Dataset's windows; others call labels(), stacked(), take().
+class_indices is the one check that labels are class indices in [0, k).
 """
 from __future__ import annotations
 
@@ -67,6 +68,22 @@ class SensorRecording:
 class Window:
     values: np.ndarray  # [t, channels]
     label: int  # class index within the owning dataset
+
+
+def class_indices(labels, n_classes: int) -> np.ndarray:
+    """Labels as a flat int64 array of class indices, each in [0, n_classes).
+
+    The one check of a class index, for training, scoring and indicators.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ShapeError("labels must be a flat sequence")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ParameterError(
+            f"labels must lie in [0, {n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    return labels
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,8 @@ def lhn_transform(
     model: LhnModel, params: NetworkParams, config: NetworkConfig, window
 ) -> np.ndarray:
     """Latent feature vector of one window: per-layer projections, in order."""
-    taps = convnet._forward_taps(params, convnet._check_window(config, window))
+    x = convnet._checked_batch(config, np.asarray(window, dtype=np.float64)[None])
+    taps = convnet._forward_taps(params, x)
     return _latent(model.pls_models, model.tap_standardizers, taps)[0]
 
 

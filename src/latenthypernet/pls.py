@@ -31,6 +31,7 @@ import numpy as np
 
 from . import fileio
 from .errors import FormatError, InputError, NumericError, ParameterError, ShapeError
+from .ingest import class_indices
 
 MODEL_FORMAT = "pls-model"
 MODEL_VERSION = 1
@@ -95,14 +96,7 @@ class NipalsTrace:
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
     """Indicator matrix: row i is 1 at column labels[i], 0 elsewhere."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ShapeError("labels must be a flat sequence")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ParameterError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    labels = class_indices(labels, n_classes)
     out = np.zeros((labels.size, n_classes), dtype=np.float64)
     out[np.arange(labels.size), labels] = 1.0
     return out

@@ -488,6 +488,15 @@ def test_config_file_value_outside_choices_exits_two(tmp_path, capsys):
     assert "arch must be one of convnet1, convnet2, convnet3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["welch = maybe", "runs = many"])
+def test_config_file_bad_value_names_file_and_line(line, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    assert cli.main(["benchmark-time", "--config", str(config)]) == 2
+    key, _, value = line.partition(" = ")
+    assert f"{config}: line 2: bad value {value!r} for {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [("evaluate", "folds"), ("benchmark-time", "runs")])
 def test_folds_and_runs_need_two(command, flag, capsys):
     assert cli.main([command, f"--{flag}", "1"]) == 2

@@ -552,7 +552,7 @@ class TestNonFiniteWindow:
         ds, cfg, params = net
         window = with_value(ds, 0, value, row).windows[0].values
         for run in (convnet.predict, convnet.forward_with_taps):
-            with pytest.raises(NumericError, match="window holds non-finite values"):
+            with pytest.raises(NumericError, match="window 0 holds non-finite values"):
                 run(params, cfg, window)
 
     def test_predict_dataset_names_the_window(self, net):
@@ -651,6 +651,20 @@ class TestTrain:
         cfg = toy_config()
         with pytest.raises(InputError):
             convnet.train_arrays(cfg, np.zeros((0, 1, 10, 2)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, 3])  # toy_config has 3 classes
+    def test_class_index_outside_range(self, bad):
+        cfg = toy_config()
+        x = np.random.default_rng(2).normal(size=(4, 1, 10, 2))
+        with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
+            convnet.train_arrays(cfg, x, np.array([0, 1, bad, 2]), TrainingConfig(epochs=1))
+
+    @pytest.mark.parametrize("setting", [{"epochs": 0}, {"batch_size": 0}, {"batch_size": -4}])
+    def test_settings_training_cannot_run(self, setting):
+        ds = self.small_dataset(n=8)
+        cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
+        with pytest.raises(ParameterError, match="epochs >= 1 and batch_size >= 1"):
+            convnet.train(cfg, ds, TrainingConfig(**setting))
 
 
 class TestPersistence:

@@ -79,6 +79,14 @@ class TestRecall:
         assert np.array_equal(cm, [[1, 1], [0, 1]])
         assert cm.sum() == 3
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("argument", ["y_true", "y_pred"])
+    def test_class_index_outside_range(self, argument, bad):
+        labels = {"y_true": [0, 1, 2], "y_pred": [0, 1, 2]}
+        labels[argument] = [0, 1, bad]
+        with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
+            evaluation.confusion_matrix(labels["y_true"], labels["y_pred"], 3)
+
 
 class TestKfold:
     def test_even_split(self):

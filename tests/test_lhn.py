@@ -269,12 +269,59 @@ def test_non_finite_window_refused(trained):
     # the last row only reaches conv1's odd trailing row, which the pool drops
     values = ds.windows[4].values.copy()
     values[-1, 1] = np.nan
-    with pytest.raises(NumericError, match="window holds non-finite values"):
+    with pytest.raises(NumericError, match="window 0 holds non-finite values"):
         lhn.lhn_predict(model, params, cfg, values)
     windows = list(ds.windows)
     windows[4] = dataclasses.replace(windows[4], values=values)
     with pytest.raises(NumericError, match="window 4 holds non-finite values"):
         lhn.lhn_predict_dataset(model, params, cfg, dataclasses.replace(ds, windows=tuple(windows)))
+
+
+# every entry point that takes windows, as a run on (model, params, config, window, dataset)
+GATED = {
+    "predict": lambda m, p, c, w, d: convnet.predict(p, c, w),
+    "forward_with_taps": lambda m, p, c, w, d: convnet.forward_with_taps(p, c, w),
+    "grad_check": lambda m, p, c, w, d: convnet.grad_check(c, w),
+    "lhn_transform": lambda m, p, c, w, d: lhn.lhn_transform(m, p, c, w),
+    "lhn_predict": lambda m, p, c, w, d: lhn.lhn_predict(m, p, c, w),
+    "predict_dataset": lambda m, p, c, w, d: convnet.predict_dataset(p, c, d),
+    "train": lambda m, p, c, w, d: convnet.train(c, d, TrainingConfig(epochs=1)),
+    "lhn_fit": lambda m, p, c, w, d: lhn.lhn_fit(
+        p, c, d, components=2, classifier=TrainingConfig(epochs=1)
+    ),
+    "lhn_predict_dataset": lambda m, p, c, w, d: lhn.lhn_predict_dataset(m, p, c, d),
+}
+
+
+@pytest.fixture(scope="module")
+def gate_model(trained):
+    ds, cfg, params = trained
+    return lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
+
+
+@pytest.mark.parametrize("bad", ["wrong-shape", "non-finite"])
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_one_input_gate(trained, gate_model, entry, bad):
+    """A single window and a dataset's first window are refused in the same words."""
+    ds, cfg, params = trained
+    if bad == "wrong-shape":
+        bad_ds = synthetic.make_synthetic_dataset(n_windows=160, window_len=56, seed=3)
+        error, message = ShapeError, "windows are 56x2 but the network expects 48x2"
+    else:
+        values = ds.windows[0].values.copy()
+        values[5, 0] = np.inf
+        windows = (dataclasses.replace(ds.windows[0], values=values), *ds.windows[1:])
+        bad_ds = dataclasses.replace(ds, windows=windows)
+        error, message = NumericError, "window 0 holds non-finite values"
+    with pytest.raises(error, match=f"^{message}$"):
+        GATED[entry](gate_model, params, cfg, bad_ds.windows[0].values, bad_ds)
+
+
+@pytest.mark.parametrize("setting", [{"epochs": 0}, {"batch_size": 0}])
+def test_head_settings_training_cannot_run(trained, setting):
+    ds, cfg, params = trained
+    with pytest.raises(ParameterError, match="epochs >= 1 and batch_size >= 1"):
+        lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(**setting))
 
 
 def centroid_spread(rows):
