@@ -22,7 +22,14 @@ the head, which flattens the last pool output and runs the dense layer and
 softmax. The batched forward runs both and returns every layer's output; a
 single window runs as a batch of one. The logits and everything the
 backward needs are read from those outputs. The latent hypernet's pool taps
-come from the trunk alone, so it never runs the dense head.
+come from the trunk alone, so it never runs the dense head; its batched head
+(_tap_head) reads each pool output as maps-innermost rows, a free view, and
+permutes the head's rows to that order instead of copying a tap.
+
+A dataset runs in chunks of _CHUNK = 16 windows. The size is chosen for the
+cache, not for memory alone: a 256-window chunk of convnet3 on 128x2 windows
+builds a 55 MB window-rows matrix, and on every preset and shape measured 16
+was within noise of the fastest chunk size and 256 the slowest.
 
 The backward reads every layer's input and output from those outputs. Per
 stage it masks the pool-size gradient with the ReLU (the ReLU runs before
@@ -70,7 +77,18 @@ from .ingest import Dataset, class_indices
 PARAMS_FORMAT = "convnet-params"
 PARAMS_VERSION = 1
 
-_CHUNK = 256  # windows per forward when a whole dataset is predicted or tapped
+# Windows per forward when a whole dataset is predicted or tapped. The size
+# is set by the cache, not by memory alone: a 256-window chunk of convnet3 on
+# 128x2 windows makes a 55 MB stage-2 window-rows matrix, and copying it
+# takes a fifth of the forward. Tap collection, in us per window at chunk
+# sizes 2/4/8/16/32/64/128/256 (1 BLAS thread, 2 vCPUs):
+#   convnet1 64x2    36/25/22/20/21/21/22/23
+#   convnet2 96x2    98/101/103/112/102/103/104/127
+#   convnet3 128x2   190/187/187/184/209/194/207/243
+#   convnet3 256x3   700/677/754/678/745/934/936/996
+#   convnet1 128x6   455/507/414/459/544/675/744/816
+# 16 is within noise of the best size on every row and 256 is the slowest.
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -394,12 +412,42 @@ def _forward_batch(params, x):
     return outputs + [flat, logits, e / e.sum(axis=1, keepdims=True)]
 
 
-def _forward_taps(params, x):
-    """Pool taps of a [b, 1, h, w] batch, from the trunk alone.
+def _pools(params, x):
+    """Pool outputs [b, maps, rows, columns] of a [b, 1, h, w] batch, from the trunk alone.
 
-    Each tap is one pool output flattened to [b, maps * rows * columns].
+    Each is maps-innermost in memory, as every conv output is.
     """
-    return [out.reshape(out.shape[0], -1) for out in _trunk(params, x)[1::2]]
+    return _trunk(params, x)[1::2]
+
+
+def _forward_taps(params, x):
+    """Pool taps of a [b, 1, h, w] batch: each pool output as [b, maps * rows * columns]."""
+    return [out.reshape(out.shape[0], -1) for out in _pools(params, x)]
+
+
+def _tap_head(params, config: NetworkConfig, heads, bias):
+    """The logits bias + sum_i tap_i @ heads[i] of a [b, 1, h, w] batch, as a function of it.
+
+    heads[i] is [width_i, k] over pool tap i in its (map, row, column) order,
+    the order _forward_taps flattens it in. A pool output is maps-innermost
+    in memory, so it is read as [b, rows * columns * maps] rows by a free
+    view; each head's rows are permuted to that order once, here, and no tap
+    is copied.
+    """
+    widths, taps = [head.shape[0] for head in heads], config.tap_widths()
+    if widths != taps:
+        raise ShapeError(f"heads take pool taps {widths} wide, but {config.name}'s are {taps}")
+    shapes = propagate_shapes(config)[1:-3:2]
+    heads = [
+        head[np.arange(head.shape[0]).reshape(shape).transpose(1, 2, 0).reshape(-1)]
+        for head, shape in zip(heads, shapes)
+    ]
+
+    def logits(x: np.ndarray) -> np.ndarray:
+        rows = [out.transpose(0, 2, 3, 1).reshape(out.shape[0], -1) for out in _pools(params, x)]
+        return bias + sum(r @ head for r, head in zip(rows, heads))
+
+    return logits
 
 
 def _backward_batch(params, x, outputs, grad_logits):
@@ -410,7 +458,8 @@ def _backward_batch(params, x, outputs, grad_logits):
     """
     n = len(params.conv_kernels)
     grad_kernels, grad_biases = [None] * n, [None] * n
-    g = grad_logits @ params.dense_weights.T
+    if n:  # with no conv stage, as in the latent head, nothing reads the flattened input's gradient
+        g = grad_logits @ params.dense_weights.T
     for s in reversed(range(n)):
         pooled = outputs[2 * s + 1]
         # the ReLU ran before the pool, so a pair's winning row is > 0 exactly
@@ -505,14 +554,14 @@ def _dataset_batch(config: NetworkConfig, dataset: Dataset) -> np.ndarray:
     return _checked_batch(config, dataset.stacked())
 
 
-def _chunks(x: np.ndarray):
-    """Consecutive slices of at most _CHUNK windows, so a forward's memory stays bounded."""
-    return (x[start : start + _CHUNK] for start in range(0, x.shape[0], _CHUNK))
+def _chunks(n: int):
+    """Slices of at most _CHUNK consecutive windows out of n, so each forward stays cache-sized."""
+    return (slice(start, start + _CHUNK) for start in range(0, n, _CHUNK))
 
 
 def _argmax_chunks(x: np.ndarray, logits_of) -> np.ndarray:
-    """Argmax labels of logits_of(chunk) over _chunks(x); ties go to the lowest index."""
-    return np.concatenate([np.argmax(logits_of(chunk), axis=1) for chunk in _chunks(x)])
+    """Argmax labels of logits_of(chunk) over the _chunks of x; ties go to the lowest index."""
+    return np.concatenate([np.argmax(logits_of(x[rows]), axis=1) for rows in _chunks(len(x))])
 
 
 def predict_dataset(params: NetworkParams, config: NetworkConfig, dataset: Dataset) -> np.ndarray:
@@ -559,7 +608,7 @@ def train_arrays(
     for epoch in range(1, hyper.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        preds = np.empty(n, dtype=np.int64)
+        preds = np.empty(n, dtype=np.int64) if log_stream is not None else None
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             xb, yb = x[idx], labels[idx]
@@ -568,7 +617,8 @@ def train_arrays(
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"loss became non-finite in epoch {epoch}")
             loss_sum += float(batch_loss)
-            preds[idx] = np.argmax(outputs[-2], axis=1)
+            if preds is not None:  # only the logged recall reads the predictions
+                preds[idx] = np.argmax(outputs[-2], axis=1)
 
             grad_logits /= len(idx)
             grads = _backward_batch(params, xb, outputs, grad_logits)

@@ -5,7 +5,9 @@ contiguous runs sharing one (label, subject) pair. Recordings are cut into
 fixed-length windows of t = floor(window seconds x sampling rate) samples;
 trailing samples that do not fill a whole window are dropped. Only this
 module walks a Dataset's windows; others call labels(), stacked(), take().
-class_indices is the one check that labels are class indices in [0, k).
+stacked() refuses windows of unequal shape with a ShapeError naming the first
+one that differs from window 0. class_indices is the one check that labels
+are whole class indices in [0, k).
 """
 from __future__ import annotations
 
@@ -73,8 +75,16 @@ class Window:
 def class_indices(labels, n_classes: int) -> np.ndarray:
     """Labels as a flat int64 array of class indices, each in [0, n_classes).
 
-    The one check of a class index, for training, scoring and indicators.
+    The one check of a class index, for training, scoring and indicators. A
+    float label must be a whole number; 1.7 is refused, not truncated to 1.
     """
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        whole = np.isfinite(labels) & (labels == np.trunc(labels))
+        if not whole.all():
+            raise ParameterError(
+                f"labels must be whole class indices, got {float(labels[~whole][0])!r}"
+            )
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ShapeError("labels must be a flat sequence")
@@ -111,8 +121,19 @@ class Dataset:
         return np.array([w.label for w in self.windows], dtype=np.int64)
 
     def stacked(self) -> np.ndarray:
-        """All window values as one [n, t, channels] array."""
-        return np.stack([w.values for w in self.windows])
+        """All window values as one [n, t, channels] array; every window must share one shape."""
+        values = [w.values for w in self.windows]
+        try:
+            return np.stack(values)
+        except ValueError:
+            shapes = [v.shape for v in values]
+            bad = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+            if bad is None:
+                raise
+            raise ShapeError(
+                f"window {bad} is {'x'.join(map(str, shapes[bad]))} "
+                f"but window 0 is {'x'.join(map(str, shapes[0]))}"
+            ) from None
 
     def take(self, indices) -> Dataset:
         """The windows at `indices`, in that order, with the same classes and channels."""

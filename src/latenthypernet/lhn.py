@@ -12,10 +12,18 @@ entirely and feeds z-scored raw taps to the classifier, for measuring what
 the reduction step contributes. A model is valid only on the network it
 was fitted on; it records that network's architecture and weight digests,
 and check_pair is the one check that a model and a network belong together.
+
+A model folds each layer's map into its classifier rows when it is built,
+whether fitted or loaded, so the batched predict is the network's trunk, then
+a bias plus one small matrix product per pool output, then argmax. The pool
+outputs are read in place, so no tap is flattened, copied or projected on
+that path. A single-window lhn_predict still projects through lhn_transform:
+the benchmark's traced runs time the projection from those calls, so folding
+it too waits until the benchmark calls lhn_transform itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +44,11 @@ class LhnModel:
 
     pls_models is empty when the model was fitted with reduce=False; the
     tap_standardizers then z-score the raw taps instead.
+
+    Each layer's map is folded into the classifier when the model is built,
+    as PlsModel folds its standardizer: the logits of a window's taps are
+    ``head_bias + sum_i tap_i @ head_weights[i]``, which equals classifying
+    its latent vector.
     """
 
     pls_models: list[pls.PlsModel]
@@ -46,6 +59,20 @@ class LhnModel:
     config_name: str
     config_digest: str
     params_digest: str  # convnet.params_digest of the weights it was fitted on
+    head_weights: list[np.ndarray] = field(init=False, repr=False)  # each [tap width, n_classes]
+    head_bias: np.ndarray = field(init=False, repr=False)  # [n_classes]
+
+    def __post_init__(self):
+        ends = np.cumsum(self.layer_components)[:-1]
+        blocks = np.split(self.classifier_weights, ends)  # layer i's rows of the classifier
+        if self.reduced:
+            self.head_weights = [m.scaled_weights @ w for m, w in zip(self.pls_models, blocks)]
+            shifts = [m.offset @ w for m, w in zip(self.pls_models, blocks)]
+        else:
+            pairs = list(zip(self.tap_standardizers, blocks))
+            self.head_weights = [w / s.stds[:, None] for s, w in pairs]
+            shifts = [-(s.means / s.stds) @ w for s, w in pairs]
+        self.head_bias = self.classifier_bias + sum(shifts)
 
     @property
     def reduced(self) -> bool:
@@ -54,13 +81,18 @@ class LhnModel:
     @property
     def layer_components(self) -> list[int]:
         """Effective latent width per pool layer."""
-        if self.reduced:
-            return [m.components for m in self.pls_models]
-        return [s.means.size for s in self.tap_standardizers]
+        return _layer_widths(self.pls_models, self.tap_standardizers)
 
     @property
     def latent_width(self) -> int:
         return int(sum(self.layer_components))
+
+
+def _layer_widths(pls_models, tap_standardizers) -> list[int]:
+    """Latent width per pool layer: components when reduced, else the tap widths."""
+    if pls_models:
+        return [m.components for m in pls_models]
+    return [s.means.size for s in tap_standardizers]
 
 
 def collect_pool_features(
@@ -69,11 +101,15 @@ def collect_pool_features(
     """One matrix per pool layer; row j is window j's flattened pool output.
 
     Flattening is row-major over (map, row, column). The network parameters
-    are only read.
+    are only read. The matrices are allocated once, and each chunk's pool
+    outputs are copied straight into their rows.
     """
     x = convnet._dataset_batch(config, dataset)
-    chunks = [convnet._forward_taps(params, chunk) for chunk in convnet._chunks(x)]
-    return [np.concatenate(layer, axis=0) for layer in zip(*chunks)]
+    taps = [np.empty((len(x), width)) for width in config.tap_widths()]
+    for rows in convnet._chunks(len(x)):
+        for tap, pooled in zip(taps, convnet._pools(params, x[rows])):
+            tap[rows].reshape(pooled.shape)[...] = pooled  # a row slice's reshape is a view
+    return taps
 
 
 def lhn_fit(
@@ -190,14 +226,18 @@ def lhn_predict(
 def lhn_predict_dataset(
     model: LhnModel, params: NetworkParams, config: NetworkConfig, dataset: Dataset
 ) -> np.ndarray:
-    """Vectorized lhn_predict over a whole dataset, in chunks of convnet._CHUNK windows."""
+    """Vectorized lhn_predict over a whole dataset, through the folded head.
 
-    def logits(chunk: np.ndarray) -> np.ndarray:
-        taps = convnet._forward_taps(params, chunk)
-        latent = _latent(model.pls_models, model.tap_standardizers, taps)
-        return latent @ model.classifier_weights + model.classifier_bias
-
-    return convnet._argmax_chunks(convnet._dataset_batch(config, dataset), logits)
+    Each chunk of convnet._CHUNK windows runs the trunk alone; its logits are
+    model.head_bias plus each pool output times its layer's head_weights,
+    read from the pool outputs in place (convnet._tap_head), so no tap is
+    flattened, copied or projected. lhn_predict still goes through
+    lhn_transform, since the benchmark's traced runs time the projection
+    from those calls.
+    """
+    x = convnet._dataset_batch(config, dataset)
+    logits = convnet._tap_head(params, config, model.head_weights, model.head_bias)
+    return convnet._argmax_chunks(x, logits)
 
 
 def export_projection(
@@ -274,37 +314,43 @@ def load_lhn(path) -> LhnModel:
         layer_components = [int(v) for v in payload["layer_components"]]
         bias = payload["classifier_bias"]
         bias = fileio.float_array(bias, (len(bias),), "classifier_bias", path)
-        model = LhnModel(
-            pls_models=[
-                pls.model_from_payload(p, f"{path}: pls_models[{i}]")
-                for i, p in enumerate(payload["pls_models"])
-            ],
-            tap_standardizers=[
-                pls.standardizer_from_payload(e, len(e["means"]), f"{path}: tap_standardizers[{i}]")
-                for i, e in enumerate(payload["tap_standardizers"])
-            ],
-            classifier_weights=fileio.shaped_array(
-                payload["classifier_weights"],
-                (sum(layer_components), bias.size),
-                "classifier_weights",
-                path,
-            ),
-            classifier_bias=bias,
-            components=int(payload["components"]),
-            config_name=payload["config_name"],
-            config_digest=payload["config_digest"],
-            params_digest=payload["params_digest"],
+        pls_models = [
+            pls.model_from_payload(p, f"{path}: pls_models[{i}]")
+            for i, p in enumerate(payload["pls_models"])
+        ]
+        tap_standardizers = [
+            pls.standardizer_from_payload(e, len(e["means"]), f"{path}: tap_standardizers[{i}]")
+            for i, e in enumerate(payload["tap_standardizers"])
+        ]
+        weights = fileio.shaped_array(
+            payload["classifier_weights"],
+            (sum(layer_components), bias.size),
+            "classifier_weights",
+            path,
         )
-    if bool(model.pls_models) == bool(model.tap_standardizers):
+        components = int(payload["components"])
+        config_name, config_digest = payload["config_name"], payload["config_digest"]
+        params_digest = payload["params_digest"]
+    # every check runs before the model is built, since building it folds these arrays
+    if bool(pls_models) == bool(tap_standardizers):
         raise FormatError(f"{path}: exactly one of pls_models and tap_standardizers must be set")
-    widths = model.layer_components
+    widths = _layer_widths(pls_models, tap_standardizers)
     if widths != layer_components:
         raise FormatError(
             f"{path}: per-layer widths {widths} disagree with layer_components {layer_components}"
         )
     if bias.size < 2:
         raise FormatError(f"{path}: classifier_bias holds {bias.size} classes, fewer than 2")
-    for i, n in enumerate(m.n_classes for m in model.pls_models):
+    for i, n in enumerate(m.n_classes for m in pls_models):
         if n != bias.size:
             raise FormatError(f"{path}: pls_models[{i}].n_classes is {n}, not {bias.size}")
-    return model
+    return LhnModel(
+        pls_models=pls_models,
+        tap_standardizers=tap_standardizers,
+        classifier_weights=weights,
+        classifier_bias=bias,
+        components=components,
+        config_name=config_name,
+        config_digest=config_digest,
+        params_digest=params_digest,
+    )

@@ -87,6 +87,16 @@ class TestRecall:
         with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
             evaluation.confusion_matrix(labels["y_true"], labels["y_pred"], 3)
 
+    def test_fractional_class_index_refused(self):
+        with pytest.raises(ParameterError, match="whole class indices, got 1.7"):
+            evaluation.confusion_matrix([0, 1.7, 2], [0.2, 1, 2.9], 3)
+        with pytest.raises(ParameterError, match="whole class indices, got 0.2"):
+            evaluation.confusion_matrix([0, 1, 2], [0.2, 1, 2.9], 3)
+        with pytest.raises(ParameterError, match="whole class indices, got nan"):
+            evaluation.confusion_matrix([0, np.nan, 2], [0, 1, 2], 3)
+        whole = evaluation.confusion_matrix([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], 3)
+        assert whole.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 0]]
+
 
 class TestKfold:
     def test_even_split(self):

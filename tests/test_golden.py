@@ -68,6 +68,21 @@ def test_lhn_file(probe, tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["reduced", "unreduced"])
+def test_folded_head_equals_the_latent_classifier(probe, name):
+    """The batched head's folded logits are the latent vector's logits, to rounding."""
+    params, config = convnet.load_params(DATA / "golden.params.json")
+    model = lhn.load_lhn(DATA / f"golden.{name}.lhn.json")
+    taps = lhn.collect_pool_features(params, config, probe)
+    latent = lhn._latent(model.pls_models, model.tap_standardizers, taps)
+    expected = latent @ model.classifier_weights + model.classifier_bias
+    x = convnet._dataset_batch(config, probe)
+    folded = convnet._tap_head(params, config, model.head_weights, model.head_bias)(x)
+    assert np.allclose(folded, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    flat = model.head_bias + sum(t @ h for t, h in zip(taps, model.head_weights, strict=True))
+    assert np.allclose(flat, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("name", ["reduced", "unreduced"])
 def test_lhn_file_pairs_only_with_its_network(name):
     params, config = convnet.load_params(DATA / "golden.params.json")
     model = lhn.load_lhn(DATA / f"golden.{name}.lhn.json")

@@ -306,6 +306,14 @@ class TestTake:
         assert sub.labels().tolist() == [0, 0, 1]
         assert (sub.class_names, sub.channels) == (ds.class_names, ds.channels)
 
+    def test_window_of_another_shape_is_named_at_predict(self):
+        windows = list(self.dataset().windows)
+        windows[3] = ingest.Window(values=np.zeros((60, 2)), label=1)
+        ds = ingest.Dataset(windows=windows, class_names=("A", "B"), channels=2)
+        config = convnet.preset("convnet1", 64, 2, 2)
+        with pytest.raises(ShapeError, match="window 3 is 60x2 but window 0 is 64x2"):
+            convnet.predict_dataset(convnet.init_params(config, seed=0), config, ds)
+
     def test_empty_take_is_refused_at_predict(self):
         sub = self.dataset().take([])
         assert len(sub) == 0

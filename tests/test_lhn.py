@@ -126,17 +126,32 @@ def test_predict_dataset_projects_in_chunks(trained, monkeypatch):
     )
     expected = [lhn.lhn_predict(model, params, cfg, w.values) for w in big.windows]
     rows = []
-    transform = pls.pls_transform
+    trunk = convnet._trunk
 
-    def recording(m, x):
+    def recording(p, x):
         rows.append(x.shape[0])
-        return transform(m, x)
+        return trunk(p, x)
 
-    monkeypatch.setattr(pls, "pls_transform", recording)
+    monkeypatch.setattr(convnet, "_trunk", recording)
     labels = lhn.lhn_predict_dataset(model, params, cfg, big)
     assert max(rows) <= convnet._CHUNK
-    assert sum(rows) == len(big) * len(model.layer_components)
+    assert sum(rows) == len(big)
     assert labels.tolist() == expected
+
+
+@pytest.mark.parametrize("name, window_len", [("convnet1", 64), ("convnet3", 128)])
+def test_chunked_taps_equal_one_unchunked_forward(name, window_len):
+    """Every row block of the preallocated taps is written, with the whole batch's bits."""
+    ds = synthetic.make_synthetic_dataset(
+        n_windows=2 * convnet._CHUNK + 3, window_len=window_len, seed=8
+    )
+    cfg = convnet.preset(name, ds.window_len, ds.channels, ds.n_classes)
+    params = convnet.init_params(cfg, 3)
+    taps = lhn.collect_pool_features(params, cfg, ds)
+    whole = convnet._forward_taps(params, convnet._dataset_batch(cfg, ds))
+    assert [t.shape for t in taps] == [(len(ds), w) for w in cfg.tap_widths()]
+    for tap, expected in zip(taps, whole, strict=True):
+        assert np.array_equal(tap, expected)
 
 
 def test_latent_width_small(trained):
@@ -261,6 +276,16 @@ def test_latent_refuses_a_tap_list_one_layer_short(trained, reduce):
     taps = lhn.collect_pool_features(params, cfg, ds)[:-1]
     with pytest.raises(ShapeError, match="network exposes 1 pool layers, model was fitted on 2"):
         lhn._latent(model.pls_models, model.tap_standardizers, taps)
+
+
+def test_predict_dataset_refuses_a_network_with_other_taps(trained):
+    ds, cfg, params = trained
+    model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
+    layers = (convnet.conv(24, 12, 2), convnet.maxpool())
+    layers += (convnet.flatten(), convnet.dense(ds.n_classes), convnet.softmax())
+    other = convnet.NetworkConfig("one-stage", layers, ds.window_len, ds.channels)
+    with pytest.raises(ShapeError, match=r"heads take pool taps \[.*\] wide, but one-stage's are"):
+        lhn.lhn_predict_dataset(model, convnet.init_params(other, 0), other, ds)
 
 
 def test_non_finite_window_refused(trained):
