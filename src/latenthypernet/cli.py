@@ -101,7 +101,13 @@ def _read_config_file(path: str) -> dict:
         raise InputError(f"config file not found: {path}")
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParameterError(
+                f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})"
+            ) from None
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -134,7 +140,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         merged["out_dir"] = env_out
     merged.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
     cfg = RunConfig(**merged)
-    if cfg.window_seconds <= 0:
+    if not cfg.window_seconds > 0:  # nan too
         raise ParameterError("window-seconds must be positive")
     taken = _COMMANDS[args.command][2]  # a setting the command does not read is not checked
     lows = {"stride": 1, "epochs": 1, "batch_size": 1, "components": 1, "folds": 2, "runs": 2}

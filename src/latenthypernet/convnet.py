@@ -2,9 +2,9 @@
 
 A network is k >= 0 stages of (conv, maxpool) followed by one head of
 flatten, dense, softmax; no other layer order is accepted. propagate_shapes
-checks that order and every extent, and it runs when a preset is built,
-when parameters are initialized and when a params file is loaded; the
-forward, the backward and training then walk the stages by position.
+checks that order and every extent once, when a NetworkConfig is built, and
+the config keeps the result as its shapes; the forward, the backward and
+training then walk the stages by position.
 Convolutions are valid (no padding), stride 1, cross-correlation semantics,
 each followed by a ReLU; every pooling is 2x1. Backpropagation is written
 out by hand and validated against central finite differences (grad_check).
@@ -58,7 +58,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,21 +124,28 @@ def softmax() -> LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """A layer table and input shape, checked by propagate_shapes when it is built.
+
+    `shapes` keeps that check's result; it takes no part in equality, hashing or repr.
+    """
+
     name: str
     layers: tuple[LayerSpec, ...]
     input_h: int
     input_w: int
+    shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "shapes", tuple(propagate_shapes(self)))
 
     @property
     def n_classes(self) -> int:
-        return propagate_shapes(self)[-1][0]
+        return self.shapes[-1][0]
 
     def tap_widths(self) -> list[int]:
         """Flattened width of each pool tap, in layer order."""
-        return [math.prod(shape) for shape in propagate_shapes(self)[1:-3:2]]
+        return [math.prod(shape) for shape in self.shapes[1:-3:2]]
 
 
 @dataclass(frozen=True)
@@ -195,8 +202,7 @@ PRESET_CONV_STAGES = {
 def preset(name: str, input_h: int, input_w: int, n_classes: int) -> NetworkConfig:
     """Build one of the named architectures for the given input shape.
 
-    Raises ArchitectureError (naming the offending layer) when any feature
-    map extent would drop below 1.
+    A feature map extent below 1 raises ArchitectureError naming the layer.
     """
     if name not in PRESET_CONV_STAGES:
         raise ParameterError(
@@ -212,9 +218,7 @@ def preset(name: str, input_h: int, input_w: int, n_classes: int) -> NetworkConf
         layers.append(maxpool())
         w = w - kw + 1
     layers += [flatten(), dense(n_classes), softmax()]
-    config = NetworkConfig(name=name, layers=tuple(layers), input_h=input_h, input_w=input_w)
-    propagate_shapes(config)  # validates feasibility
-    return config
+    return NetworkConfig(name=name, layers=tuple(layers), input_h=input_h, input_w=input_w)
 
 
 def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
@@ -222,7 +226,7 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
 
     The one accepted order is k stages of (conv, maxpool), k >= 0, then
     flatten, dense, softmax; every maxpool is 2x1. Shapes are (maps, h, w)
-    through the stages, then (units,).
+    through the stages, then (units,); a NetworkConfig keeps it as `shapes`.
     """
     kinds = tuple(spec.kind for spec in config.layers)
     expected = ("conv", "maxpool") * kinds.count("conv") + ("flatten", "dense", "softmax")
@@ -263,11 +267,10 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
 
 def _param_shapes(config: NetworkConfig):
     """Kernel shapes [filters, in_maps, kh, kw] per stage, and the dense weight shape."""
-    shapes = propagate_shapes(config)
     convs = config.layers[:-3:2]
     in_maps = [1] + [spec.filters for spec in convs[:-1]]
     kernels = [(spec.filters, m, spec.kernel_h, spec.kernel_w) for spec, m in zip(convs, in_maps)]
-    return kernels, (shapes[-3][0], shapes[-2][0])
+    return kernels, (config.shapes[-3][0], config.shapes[-2][0])
 
 
 def _stored_kernel(kernels: np.ndarray) -> np.ndarray:
@@ -437,10 +440,9 @@ def _tap_head(params, config: NetworkConfig, heads, bias):
     widths, taps = [head.shape[0] for head in heads], config.tap_widths()
     if widths != taps:
         raise ShapeError(f"heads take pool taps {widths} wide, but {config.name}'s are {taps}")
-    shapes = propagate_shapes(config)[1:-3:2]
     heads = [
         head[np.arange(head.shape[0]).reshape(shape).transpose(1, 2, 0).reshape(-1)]
-        for head, shape in zip(heads, shapes)
+        for head, shape in zip(heads, config.shapes[1:-3:2])
     ]
 
     def logits(x: np.ndarray) -> np.ndarray:
@@ -458,8 +460,7 @@ def _backward_batch(params, x, outputs, grad_logits):
     """
     n = len(params.conv_kernels)
     grad_kernels, grad_biases = [None] * n, [None] * n
-    if n:  # with no conv stage, as in the latent head, nothing reads the flattened input's gradient
-        g = grad_logits @ params.dense_weights.T
+    g = grad_logits @ params.dense_weights.T
     for s in reversed(range(n)):
         pooled = outputs[2 * s + 1]
         # the ReLU ran before the pool, so a pair's winning row is > 0 exactly
@@ -608,7 +609,7 @@ def train_arrays(
     for epoch in range(1, hyper.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        preds = np.empty(n, dtype=np.int64) if log_stream is not None else None
+        preds = np.empty(n, dtype=np.int64)
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             xb, yb = x[idx], labels[idx]
@@ -617,8 +618,7 @@ def train_arrays(
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(f"loss became non-finite in epoch {epoch}")
             loss_sum += float(batch_loss)
-            if preds is not None:  # only the logged recall reads the predictions
-                preds[idx] = np.argmax(outputs[-2], axis=1)
+            preds[idx] = np.argmax(outputs[-2], axis=1)
 
             grad_logits /= len(idx)
             grads = _backward_batch(params, xb, outputs, grad_logits)
@@ -722,11 +722,11 @@ def load_params(path) -> tuple[NetworkParams, NetworkConfig]:
     """Read a params file; every array is checked against the stored config's shapes."""
     payload = fileio.read_model(path, PARAMS_FORMAT, PARAMS_VERSION)
     with fileio.decoding(path):
-        config = _config_from_payload(payload["config"])
         try:
-            kernel_shapes, dense_shape = _param_shapes(config)
+            config = _config_from_payload(payload["config"])
         except (ArchitectureError, TypeError) as exc:
             raise FormatError(f"{path}: config: {exc}") from None
+        kernel_shapes, dense_shape = _param_shapes(config)
         kernels, biases = payload["conv_kernels"], payload["conv_biases"]
         if len(kernels) != len(kernel_shapes) or len(biases) != len(kernel_shapes):
             raise FormatError(

@@ -65,7 +65,10 @@ def write_model(path, fmt: str, version: int, **fields) -> None:
 def read_model(path, fmt: str, version: int) -> dict:
     """Parse a model file and check its header; the fields are left to the caller."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

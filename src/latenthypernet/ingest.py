@@ -50,8 +50,10 @@ class CsvSchema:
         for role, name in (("label", self.label_column), ("subject", self.subject_column)):
             if name in (self.channel_columns or ()):
                 raise ParameterError(f"{role} column {name!r} cannot also be a channel")
-        if self.sampling_rate_hz <= 0:
-            raise ParameterError("sampling_rate_hz must be positive")
+        if not 0 < self.sampling_rate_hz < math.inf:
+            raise ParameterError(
+                f"sampling_rate_hz must be positive and finite, got {self.sampling_rate_hz}"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,22 @@ class Dataset:
         )
 
 
+def _csv_rows(path, fh):
+    """csv.reader rows of fh; bytes that are not UTF-8 or a malformed row raise ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
     """Read recordings from a header-first, comma-separated UTF-8 file.
+
+    A byte-order mark before the header is skipped; bytes that are not
+    UTF-8 and a row the csv module refuses raise ParseError naming the file.
 
     The channels are schema.channel_columns or, when that is None, every
     header column but the label and subject, in header order. Each column it
@@ -153,8 +169,8 @@ def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
     rows are skipped; each itertools.groupby run of identical (label,
     subject) values is one recording, in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = _csv_rows(path, fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -223,7 +239,12 @@ def load_csv(path, schema: CsvSchema) -> list[SensorRecording]:
 
 def window_samples(window_seconds: float, sampling_rate_hz: float) -> int:
     """Window length in samples: floor(seconds x rate)."""
-    t = int(window_seconds * sampling_rate_hz)
+    samples = window_seconds * sampling_rate_hz
+    if not math.isfinite(samples):
+        raise ParameterError(
+            f"window of {window_seconds} s at {sampling_rate_hz} Hz is not a finite sample count"
+        )
+    t = int(samples)
     if t < 1:
         raise ParameterError(
             f"window of {window_seconds} s at {sampling_rate_hz} Hz holds no samples"

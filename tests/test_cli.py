@@ -622,6 +622,36 @@ def test_repeated_column_exits_two(tmp_path, capsys, header, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, code",
+    [("lhn-fit", "--params", 1), ("train", "--data", 1), ("train", "--config", 2)],
+    ids=["model-file", "csv", "config-file"],
+)
+def test_file_that_is_not_utf8_is_named(command, flag, code, tmp_path, data_csv, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("label,ax,ay\nmarch\xe9,1,2\n".encode("latin-1"))
+    common = ["--data", str(data_csv), "--rate", str(RATE), "--out-dir", str(tmp_path)]
+    assert cli.main([command, *common, flag, str(bad)]) == code
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rate", "nan"], "sampling_rate_hz must be positive and finite, got nan"),
+        (["--rate", "inf"], "sampling_rate_hz must be positive and finite, got inf"),
+        (["--window-seconds", "nan"], "window-seconds must be positive"),
+        (["--window-seconds", "inf"], "window of inf s at 8.0 Hz is not a finite sample count"),
+    ],
+    ids=["rate-nan", "rate-inf", "window-nan", "window-inf"],
+)
+def test_non_finite_rate_or_window_exits_two(flags, message, tmp_path, data_csv, capsys):
+    argv = ["train", "--data", str(data_csv), "--rate", str(RATE), "--out-dir", str(tmp_path)]
+    assert cli.main([*argv, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "convnet1.params.json").exists()
+
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -167,19 +168,19 @@ class TestPresets:
         assert convs[1].kernel_w == 1  # maps are 1 wide after the first conv
 
     def test_pool_other_than_two_by_one_rejected(self):
-        cfg = convnet.NetworkConfig(
-            name="pool3",
-            layers=(
-                convnet.conv(2, 3, 2),
-                convnet.LayerSpec("maxpool", pool_h=3),
-                convnet.flatten(),
-                convnet.dense(3),
-                convnet.softmax(),
-            ),
-            input_h=12,
-            input_w=2,
-        )
         with pytest.raises(ArchitectureError, match=r"layer 2 \(maxpool\).*got 3x1"):
+            cfg = convnet.NetworkConfig(
+                name="pool3",
+                layers=(
+                    convnet.conv(2, 3, 2),
+                    convnet.LayerSpec("maxpool", pool_h=3),
+                    convnet.flatten(),
+                    convnet.dense(3),
+                    convnet.softmax(),
+                ),
+                input_h=12,
+                input_w=2,
+            )
             convnet.init_params(cfg, 0)
 
     @pytest.mark.parametrize(
@@ -190,11 +191,39 @@ class TestPresets:
         ],
     )
     def test_head_other_than_one_dense_then_softmax_rejected(self, tail, first_wrong):
-        cfg = convnet.NetworkConfig(
-            name="tail", layers=(convnet.flatten(), *tail), input_h=4, input_w=2
-        )
         with pytest.raises(ArchitectureError, match=rf"layer {first_wrong} \(dense\)"):
+            cfg = convnet.NetworkConfig(
+                name="tail", layers=(convnet.flatten(), *tail), input_h=4, input_w=2
+            )
             convnet.init_params(cfg, 0)
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            (
+                (convnet.conv(2, 3, 2), convnet.LayerSpec("maxpool", pool_h=3), convnet.flatten(),
+                 convnet.dense(3), convnet.softmax()),
+                "bad: layer 2 (maxpool): only 2x1 pooling is supported, got 3x1",
+            ),
+            (
+                (convnet.flatten(), convnet.dense(3), convnet.dense(3), convnet.softmax()),
+                "bad: layer 3 (dense) breaks the layer order, expected softmax: "
+                "a network is (conv, maxpool) * k, then flatten, dense, softmax",
+            ),
+        ],
+        ids=["pool-3x1", "second-dense"],
+    )
+    def test_config_that_breaks_the_rule_cannot_be_built(self, layers, message):
+        # so predict and forward_with_taps never receive one
+        with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
+            convnet.NetworkConfig(name="bad", layers=layers, input_h=12, input_w=2)
+
+    def test_shapes_are_kept_and_take_no_part_in_equality(self):
+        cfg = convnet.preset("convnet3", 128, 2, 4)
+        assert cfg.shapes == tuple(convnet.propagate_shapes(cfg))
+        same = convnet.NetworkConfig(cfg.name, list(cfg.layers), cfg.input_h, cfg.input_w)
+        assert same == cfg and hash(same) == hash(cfg)
+        assert "shapes" not in repr(cfg)
 
     def test_unknown_name(self):
         with pytest.raises(ParameterError):

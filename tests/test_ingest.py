@@ -147,6 +147,17 @@ class TestLoadCsv:
                 channels, sampling_rate_hz=10.0, label_column=label, subject_column=subject
             )
 
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        path = write(tmp_path, "\ufefflabel,ax,ay\nwalk,1,2\n")
+        recs = ingest.load_csv(path, SCHEMA_2CH)
+        assert [r.label for r in recs] == ["walk"]
+        assert recs[0].samples.tolist() == [[1.0, 2.0]]
+
+    def test_cell_over_the_csv_field_limit_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "label,ax,ay\nwalk,1,2\nwalk,1," + "2" * 200_000 + "\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: field larger"):
+            ingest.load_csv(path, SCHEMA_2CH)
+
     def test_interleaved_runs_match_a_scan_oracle(self, tmp_path):
         rng = np.random.default_rng(11)
         lines = ["subject,ax,label,ay"]
