@@ -100,7 +100,7 @@ def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
         try:
             lines = fh.read().split("\n")
         except UnicodeDecodeError as exc:

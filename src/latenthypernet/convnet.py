@@ -162,6 +162,10 @@ class TrainingConfig:
                 f"training needs epochs >= 1 and batch_size >= 1, "
                 f"got {self.epochs} and {self.batch_size}"
             )
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"training needs a finite {name}, got {value}")
 
 
 @dataclass

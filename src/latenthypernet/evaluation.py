@@ -59,7 +59,7 @@ def kfold_split(labels, folds: int = 10, seed: int = 0) -> FoldAssignment:
     folds, with the dealing cursor carried across classes so overall fold
     sizes differ by at most one.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_indices(labels, np.inf)  # no class count here: any whole label >= 0
     n = labels.size
     if folds < 2:
         raise ParameterError("folds must be >= 2")

@@ -13,10 +13,10 @@ the reduction step contributes. A model is valid only on the network it
 was fitted on; it records that network's architecture and weight digests,
 and check_pair is the one check that a model and a network belong together.
 
-A model folds each layer's map into its classifier rows when it is built,
-whether fitted or loaded, so the batched predict is the network's trunk, then
-a bias plus one small matrix product per pool output, then argmax. The pool
-outputs are read in place, so no tap is flattened, copied or projected on
+A model is checked and folds each layer's map into its classifier rows once,
+when it is built, fitted or loaded, and is immutable. The batched predict is
+the network's trunk, a bias plus one matrix product per pool output, then
+argmax. The pool outputs are read in place, so no tap is flattened, copied or projected on
 that path. A single-window lhn_predict still projects through lhn_transform:
 the benchmark's traced runs time the projection from those calls, so folding
 it too waits until the benchmark calls lhn_transform itself.
@@ -38,17 +38,17 @@ MODEL_VERSION = 2
 DEFAULT_COMPONENTS = 19
 
 
-@dataclass
+@dataclass(frozen=True)
 class LhnModel:
     """Per-pool-layer projections plus the latent classifier.
 
     pls_models is empty when the model was fitted with reduce=False; the
     tap_standardizers then z-score the raw taps instead.
 
-    Each layer's map is folded into the classifier when the model is built,
-    as PlsModel folds its standardizer: the logits of a window's taps are
-    ``head_bias + sum_i tap_i @ head_weights[i]``, which equals classifying
-    its latent vector.
+    Checked and folded once, when built, as PlsModel folds its standardizer: the
+    logits of a window's taps are ``head_bias + sum_i tap_i @ head_weights[i]``,
+    which equals classifying its latent vector. A field cannot be reassigned;
+    dataclasses.replace builds a changed copy, checked and folded anew.
     """
 
     pls_models: list[pls.PlsModel]
@@ -63,16 +63,27 @@ class LhnModel:
     head_bias: np.ndarray = field(init=False, repr=False)  # [n_classes]
 
     def __post_init__(self):
+        if self.reduced == bool(self.tap_standardizers):
+            raise ParameterError("exactly one of pls_models and tap_standardizers must be set")
+        k = self.classifier_bias.size
+        if k < 2:
+            raise ParameterError(f"classifier_bias holds {k} classes, fewer than 2")
+        for i, m in enumerate(self.pls_models):
+            if m.n_classes != k:
+                raise ParameterError(f"pls_models[{i}].n_classes is {m.n_classes}, not {k}")
+        if (shape := self.classifier_weights.shape) != (self.latent_width, k):
+            raise ParameterError(f"classifier_weights has shape {shape}, not {(self.latent_width, k)}")
         ends = np.cumsum(self.layer_components)[:-1]
         blocks = np.split(self.classifier_weights, ends)  # layer i's rows of the classifier
         if self.reduced:
-            self.head_weights = [m.scaled_weights @ w for m, w in zip(self.pls_models, blocks)]
+            head = [m.scaled_weights @ w for m, w in zip(self.pls_models, blocks)]
             shifts = [m.offset @ w for m, w in zip(self.pls_models, blocks)]
         else:
             pairs = list(zip(self.tap_standardizers, blocks))
-            self.head_weights = [w / s.stds[:, None] for s, w in pairs]
+            head = [w / s.stds[:, None] for s, w in pairs]
             shifts = [-(s.means / s.stds) @ w for s, w in pairs]
-        self.head_bias = self.classifier_bias + sum(shifts)
+        object.__setattr__(self, "head_weights", head)
+        object.__setattr__(self, "head_bias", self.classifier_bias + sum(shifts))
 
     @property
     def reduced(self) -> bool:
@@ -80,19 +91,14 @@ class LhnModel:
 
     @property
     def layer_components(self) -> list[int]:
-        """Effective latent width per pool layer."""
-        return _layer_widths(self.pls_models, self.tap_standardizers)
+        """Effective latent width per pool layer: components when reduced, else the tap widths."""
+        if self.reduced:
+            return [m.components for m in self.pls_models]
+        return [s.means.size for s in self.tap_standardizers]
 
     @property
     def latent_width(self) -> int:
         return int(sum(self.layer_components))
-
-
-def _layer_widths(pls_models, tap_standardizers) -> list[int]:
-    """Latent width per pool layer: components when reduced, else the tap widths."""
-    if pls_models:
-        return [m.components for m in pls_models]
-    return [s.means.size for s in tap_standardizers]
 
 
 def collect_pool_features(
@@ -304,10 +310,11 @@ def save_lhn(model: LhnModel, path) -> None:
 
 
 def load_lhn(path) -> LhnModel:
-    """Read a model file; every array and the stored layer_components copy must fit its widths.
+    """Read a model file; every array must fit its widths, and the model must build.
 
-    Exactly one of pls_models and tap_standardizers is non-empty, and the
-    classifier and each PLS model are fitted for the same 2 or more classes.
+    Building checks the model's own rules (LhnModel.__post_init__); a file
+    that breaks one, or whose stored layer_components copy disagrees with
+    the built model's widths, raises FormatError naming the file.
     """
     payload = fileio.read_model(path, MODEL_FORMAT, MODEL_VERSION)
     with fileio.decoding(path):
@@ -328,29 +335,21 @@ def load_lhn(path) -> LhnModel:
             "classifier_weights",
             path,
         )
-        components = int(payload["components"])
-        config_name, config_digest = payload["config_name"], payload["config_digest"]
-        params_digest = payload["params_digest"]
-    # every check runs before the model is built, since building it folds these arrays
-    if bool(pls_models) == bool(tap_standardizers):
-        raise FormatError(f"{path}: exactly one of pls_models and tap_standardizers must be set")
-    widths = _layer_widths(pls_models, tap_standardizers)
-    if widths != layer_components:
+        try:
+            model = LhnModel(
+                pls_models=pls_models,
+                tap_standardizers=tap_standardizers,
+                classifier_weights=weights,
+                classifier_bias=bias,
+                components=int(payload["components"]),
+                config_name=payload["config_name"],
+                config_digest=payload["config_digest"],
+                params_digest=payload["params_digest"],
+            )
+        except ParameterError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    if (widths := model.layer_components) != layer_components:
         raise FormatError(
             f"{path}: per-layer widths {widths} disagree with layer_components {layer_components}"
         )
-    if bias.size < 2:
-        raise FormatError(f"{path}: classifier_bias holds {bias.size} classes, fewer than 2")
-    for i, n in enumerate(m.n_classes for m in pls_models):
-        if n != bias.size:
-            raise FormatError(f"{path}: pls_models[{i}].n_classes is {n}, not {bias.size}")
-    return LhnModel(
-        pls_models=pls_models,
-        tap_standardizers=tap_standardizers,
-        classifier_weights=weights,
-        classifier_bias=bias,
-        components=components,
-        config_name=config_name,
-        config_digest=config_digest,
-        params_digest=params_digest,
-    )
+    return model

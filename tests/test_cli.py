@@ -652,6 +652,26 @@ def test_non_finite_rate_or_window_exits_two(flags, message, tmp_path, data_csv,
     assert not (tmp_path / "convnet1.params.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--momentum", "inf")]
+)
+def test_non_finite_training_rate_exits_two(flag, value, tmp_path, data_csv, capsys):
+    argv = ["train", "--data", str(data_csv), "--rate", str(RATE), "--out-dir", str(tmp_path)]
+    assert cli.main([*argv, "--epochs", "1", "--batch-size", "16", flag, value]) == 2
+    name = flag[2:].replace("-", "_")
+    assert f"training needs a finite {name}, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "convnet1.params.json").exists()
+
+
+def test_config_file_with_a_byte_order_mark(data_csv, tmp_path, capsys):
+    config = tmp_path / "bom.cfg"
+    config.write_text(f"\ufeffepochs = 1\ndata = {data_csv}\nrate = {RATE}\n", encoding="utf-8")
+    assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert cli.main(["train", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    epoch_lines = [l for l in capsys.readouterr().out.splitlines() if l and l[0].isdigit()]
+    assert len(epoch_lines) == 1  # the first key, after the mark, was read
+
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 

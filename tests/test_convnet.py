@@ -670,6 +670,12 @@ class TestTrain:
         params = convnet.train(cfg, ds, TrainingConfig(epochs=2, learning_rate=0.0, seed=9))
         assert convnet.params_digest(params) == convnet.params_digest(convnet.init_params(cfg, 9))
 
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_refused(self, name, value):
+        with pytest.raises(ParameterError, match=f"training needs a finite {name}, got {value}"):
+            TrainingConfig(**{name: value})
+
     def test_divergence_detected(self):
         ds = self.small_dataset(n=48)
         cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)

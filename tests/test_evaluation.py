@@ -135,6 +135,25 @@ class TestKfold:
         with pytest.raises(InputError):
             evaluation.kfold_split(np.zeros(5, dtype=int), folds=10)
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 0.5, 1, 1.5, 0, 1], "whole class indices, got 0.5"),
+            ([0, 1, -1, 1, 0, 1], r"labels must lie in \[0, "),
+            ([0, 1, np.nan, 1, 0, 1], "whole class indices, got nan"),
+        ],
+        ids=["fractional", "negative", "nan"],
+    )
+    def test_label_that_is_not_a_class_index_refused(self, labels, message):
+        with pytest.raises(ParameterError, match=message):
+            evaluation.kfold_split(labels, folds=2)
+
+    def test_whole_float_labels_split_like_ints(self):
+        labels = np.random.default_rng(6).integers(0, 3, size=30)
+        floats = evaluation.kfold_split(labels.astype(float), folds=3, seed=2)
+        ints = evaluation.kfold_split(labels, folds=3, seed=2)
+        assert np.array_equal(floats.fold_of_window, ints.fold_of_window)
+
     def test_matches_per_window_dealing_oracle(self):
         rng = np.random.default_rng(12)
         for case in range(40):

@@ -227,8 +227,85 @@ def test_predict_deterministic_and_shift_invariant(trained):
     w = ds.windows[9].values
     first = lhn.lhn_predict(model, params, cfg, w)
     assert all(lhn.lhn_predict(model, params, cfg, w) == first for _ in range(3))
-    model.classifier_bias = model.classifier_bias + 7.5  # uniform logit shift
+    model = dataclasses.replace(model, classifier_bias=model.classifier_bias + 7.5)  # uniform shift
     assert lhn.lhn_predict(model, params, cfg, w) == first
+
+
+@pytest.fixture(scope="module")
+def built_models(trained, saved_files, tmp_path_factory):
+    """A fitted and a loaded model of each kind, keyed by (source, reduce)."""
+    ds, cfg, params = trained
+    out = {}
+    for reduce in (True, False):
+        out["fitted", reduce] = lhn.lhn_fit(
+            params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=reduce
+        )
+        path = tmp_path_factory.mktemp("loaded") / "model.lhn.json"
+        path.write_text(saved_files[reduce], encoding="utf-8")
+        out["loaded", reduce] = lhn.load_lhn(path)
+    return out
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("source", ["fitted", "loaded"])
+def test_model_fields_cannot_be_reassigned(built_models, source, reduce):
+    model = built_models[source, reduce]
+    for f in dataclasses.fields(model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, f.name, getattr(model, f.name))
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_replaced_bias_is_folded_again(trained, built_models, reduce):
+    ds, cfg, params = trained
+    model = built_models["fitted", reduce]
+    bias = model.classifier_bias + np.arange(ds.n_classes) * 2.0  # favours the last classes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.classifier_bias = bias  # would leave the folded head stale
+    shifted = dataclasses.replace(model, classifier_bias=bias)
+    rows = lhn.lhn_predict_dataset(shifted, params, cfg, ds)
+    assert not np.array_equal(rows, lhn.lhn_predict_dataset(model, params, cfg, ds))
+    assert [lhn.lhn_predict(shifted, params, cfg, w.values) for w in ds.windows] == rows.tolist()
+
+
+def hand_built(model, **changes):
+    """An LhnModel built from a fitted model's fields, with some of them changed."""
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+    return lhn.LhnModel(**{**fields, **changes})
+
+
+def broken_rules(model):
+    """(changes that break one rule, the message it raises), for a reduced model."""
+    (first, *rest), k = model.pls_models, model.classifier_bias.size
+    w = model.classifier_weights
+    return {
+        "both-maps": (
+            {"tap_standardizers": [m.x_standardizer for m in model.pls_models]},
+            "exactly one of pls_models and tap_standardizers must be set",
+        ),
+        "no-maps": ({"pls_models": []}, "exactly one of pls_models and tap_standardizers"),
+        "one-class": (
+            {"classifier_bias": model.classifier_bias[:1], "classifier_weights": w[:, :1]},
+            "classifier_bias holds 1 classes, fewer than 2",
+        ),
+        "pls-classes": (
+            {"pls_models": [first, *(dataclasses.replace(m, n_classes=k + 1) for m in rest)]},
+            rf"pls_models\[1\]\.n_classes is {k + 1}, not {k}",
+        ),
+        "weight-rows": (
+            {"classifier_weights": w[:-1]},
+            rf"classifier_weights has shape \({len(w) - 1}, {k}\), not \({len(w)}, {k}\)",
+        ),
+    }
+
+
+@pytest.mark.parametrize("rule", ["both-maps", "no-maps", "one-class", "pls-classes", "weight-rows"])
+def test_hand_built_model_breaking_a_rule_refused(built_models, rule):
+    model = built_models["fitted", True]
+    hand_built(model)  # the unchanged fields build
+    changes, message = broken_rules(model)[rule]
+    with pytest.raises(ParameterError, match=message):
+        hand_built(model, **changes)
 
 
 def test_component_clamp_propagates(trained):
