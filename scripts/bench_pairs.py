@@ -18,15 +18,22 @@ metric is unresolved: no gain, a parent spread too wide to tell a change
 within the bound, and a change that does not win every pair. The last line of
 standard output is a JSON list with one such summary per workload, holding
 every run's values.
+
+`--out PATH` also writes that list to PATH as `{"summaries": [...],
+"environment": {...}}`; the environment holds each checkout's `git rev-parse
+HEAD` (null outside a git checkout), the usable cores, `LHN_THREADS` and the
+Python and numpy versions. A perf change commits its file as `BENCH_<n>.json`.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -112,6 +119,23 @@ def compare(dirs: dict, benchmark: dict, workload: str, pairs: int, seconds: flo
             "correct": correct, "metrics": summary}
 
 
+def environment(dirs: dict) -> dict:
+    """Where the pairs ran: each checkout's commit, the cores, the thread setting and versions."""
+    def commit(checkout: Path):
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                             capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "commits": {side: commit(d) for side, d in dirs.items()},
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        "LHN_THREADS": os.environ.get("LHN_THREADS"),
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+    }
+
+
 def print_table(result: dict) -> None:
     """One workload's summary as a table of medians, quartiles, wins and verdicts."""
     first, last = result["first_seed"], result["first_seed"] + result["pairs"] - 1
@@ -135,6 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--out", type=Path,
+                        help="also write the summaries and the run environment to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -146,6 +172,9 @@ def main(argv=None) -> int:
         results.append(compare(dirs, benchmark, workload, args.pairs, args.seconds, args.first_seed))
         print_table(results[-1])
     print(json.dumps(results))
+    if args.out is not None:
+        record = {"summaries": results, "environment": environment(dirs)}
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all(all(r["correct"].values()) for r in results) else 1
 
 

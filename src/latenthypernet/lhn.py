@@ -7,19 +7,23 @@ and a fresh fully connected + softmax classifier is trained on them. The
 network's weights are read, never written.
 
 Fitting one projection per stage (instead of one over the concatenated
-maps) keeps each fit small; a `reduce=False` switch skips the projections
-entirely and feeds z-scored raw taps to the classifier, for measuring what
-the reduction step contributes. A model is valid only on the network it
-was fitted on; it records that network's architecture and weight digests,
-and check_pair is the one check that a model and a network belong together.
+maps) keeps each fit small. The stages are fitted in layer order, and a
+stage's raw taps are released once they are projected, so the fit holds the
+taps plus one standardized copy of the tap it is fitting. A `reduce=False`
+switch skips the projections entirely and feeds z-scored raw taps to the
+classifier, for measuring what the reduction step contributes. A model is
+valid only on the network it was fitted on; it records that network's
+architecture and weight digests, and check_pair is the one check that a
+model and a network belong together.
 
 A model is checked and folds each layer's map into its classifier rows once,
-when it is built, fitted or loaded, and is immutable. The batched predict is
-the network's trunk, a bias plus one matrix product per pool output, then
-argmax. The pool outputs are read in place, so no tap is flattened, copied or projected on
-that path. A single-window lhn_predict still projects through lhn_transform:
-the benchmark's traced runs time the projection from those calls, so folding
-it too waits until the benchmark calls lhn_transform itself.
+when it is built, fitted or loaded, and is immutable, its arrays read-only.
+The batched predict is the network's trunk, a bias plus one matrix product
+per pool output, then argmax. The pool outputs are read in place, so no tap
+is flattened, copied or projected on that path. A single-window
+lhn_predict still projects through lhn_transform: the benchmark's traced
+runs time the projection from those calls, so folding it too waits until the
+benchmark calls lhn_transform itself.
 """
 from __future__ import annotations
 
@@ -47,8 +51,9 @@ class LhnModel:
 
     Checked and folded once, when built, as PlsModel folds its standardizer: the
     logits of a window's taps are ``head_bias + sum_i tap_i @ head_weights[i]``,
-    which equals classifying its latent vector. A field cannot be reassigned;
-    dataclasses.replace builds a changed copy, checked and folded anew.
+    which equals classifying its latent vector. A field cannot be reassigned
+    and every array is a read-only copy; dataclasses.replace builds a changed
+    copy, checked and folded anew.
     """
 
     pls_models: list[pls.PlsModel]
@@ -63,6 +68,8 @@ class LhnModel:
     head_bias: np.ndarray = field(init=False, repr=False)  # [n_classes]
 
     def __post_init__(self):
+        object.__setattr__(self, "classifier_weights", pls.read_only(self.classifier_weights))
+        object.__setattr__(self, "classifier_bias", pls.read_only(self.classifier_bias))
         if self.reduced == bool(self.tap_standardizers):
             raise ParameterError("exactly one of pls_models and tap_standardizers must be set")
         k = self.classifier_bias.size
@@ -82,8 +89,8 @@ class LhnModel:
             pairs = list(zip(self.tap_standardizers, blocks))
             head = [w / s.stds[:, None] for s, w in pairs]
             shifts = [-(s.means / s.stds) @ w for s, w in pairs]
-        object.__setattr__(self, "head_weights", head)
-        object.__setattr__(self, "head_bias", self.classifier_bias + sum(shifts))
+        object.__setattr__(self, "head_weights", [pls.read_only(h) for h in head])
+        object.__setattr__(self, "head_bias", pls.read_only(self.classifier_bias + sum(shifts)))
 
     @property
     def reduced(self) -> bool:
@@ -130,7 +137,10 @@ def lhn_fit(
 
     Each pool layer's projection is fitted independently on that layer's
     taps and the one-hot labels; requested widths wider than a layer
-    supports are clamped (with a warning) by the projection fit.
+    supports are clamped (with a warning) by the projection fit. Layers go
+    in order, and each layer's raw taps are released once they are
+    projected, so the fit holds the taps plus one standardized copy of the
+    tap being fitted.
     """
     if components < 1:
         raise ParameterError("components must be >= 1")
@@ -140,13 +150,17 @@ def lhn_fit(
         raise DegenerateClassError("need windows from at least 2 classes")
 
     taps = collect_pool_features(params, config, dataset)
-    if reduce:
-        indicators = pls.one_hot(labels, k)
-        models, standardizers = [pls.nipals_fit(tap, indicators, components) for tap in taps], []
-    else:
-        models, standardizers = [], [pls.standardize_fit(tap) for tap in taps]
-
-    latent = _latent(models, standardizers, taps)
+    indicators = pls.one_hot(labels, k) if reduce else None
+    models, standardizers, parts = [], [], []
+    for i in range(len(taps)):  # in layer order: layer i's fit is the i-th nipals_fit
+        if reduce:
+            models.append(layer_map := pls.nipals_fit(taps[i], indicators, components))
+        else:
+            standardizers.append(layer_map := pls.standardize_fit(taps[i]))
+        parts.append(_project(layer_map, taps[i]))
+        taps[i] = None  # released once projected
+    latent = np.concatenate(parts, axis=1)
+    del parts  # unreduced, these are as wide as the taps; the head trains on latent alone
     head_config = NetworkConfig(
         name="latent-classifier",
         layers=(convnet.flatten(), convnet.dense(k), convnet.softmax()),
@@ -199,16 +213,22 @@ def check_pair(model: LhnModel, params: NetworkParams, config: NetworkConfig, so
             )
 
 
+def _project(layer_map, tap: np.ndarray) -> np.ndarray:
+    """A tap through its layer's PlsModel, or its Standardizer when unreduced.
+
+    The fit and every projection of a fitted model go through here.
+    """
+    if isinstance(layer_map, pls.PlsModel):
+        return pls.pls_transform(layer_map, tap)
+    return pls.standardize_apply(layer_map, tap)
+
+
 def _latent(pls_models, tap_standardizers, taps: list[np.ndarray]) -> np.ndarray:
-    """Each tap through its layer's map, concatenated in layer order; fit and predict share it."""
-    layers = len(pls_models or tap_standardizers)
-    if len(taps) != layers:
-        raise ShapeError(f"network exposes {len(taps)} pool layers, model was fitted on {layers}")
-    if pls_models:
-        parts = [pls.pls_transform(m, t) for m, t in zip(pls_models, taps)]
-    else:
-        parts = [pls.standardize_apply(s, t) for s, t in zip(tap_standardizers, taps)]
-    return np.concatenate(parts, axis=1)
+    """Each tap through its layer's map, concatenated in layer order."""
+    maps = pls_models or tap_standardizers
+    if len(taps) != len(maps):
+        raise ShapeError(f"network exposes {len(taps)} pool layers, model was fitted on {len(maps)}")
+    return np.concatenate([_project(m, t) for m, t in zip(maps, taps)], axis=1)
 
 
 def lhn_transform(
@@ -258,8 +278,9 @@ def export_projection(
 
     `last` projects the final pool layer's taps with its fitted model and
     takes components 1 and 2; `all` fits a fresh two-component projection
-    on the concatenation of every layer's taps. Rows are (comp1, comp2,
-    class name); written as CSV when out_path is given.
+    on the concatenation of every layer's taps, releasing the per-layer taps
+    once they are concatenated. Rows are (comp1, comp2, class name); written
+    as CSV when out_path is given.
     """
     if layer_selector not in ("last", "all"):
         raise ParameterError(f"layer_selector must be 'last' or 'all', got {layer_selector!r}")
@@ -273,6 +294,7 @@ def export_projection(
         coords = pls.pls_transform(model.pls_models[-1], taps[-1])[:, :2]
     else:
         combined = np.concatenate(taps, axis=1)
+        del taps
         indicators = pls.one_hot(dataset.labels(), dataset.n_classes)
         fresh = pls.nipals_fit(combined, indicators, 2)
         coords = pls.pls_transform(fresh, combined)

@@ -1,7 +1,10 @@
 import importlib.util
 import json
+import platform
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -127,3 +130,34 @@ def test_a_wrong_run_on_any_workload_fails(tmp_path, monkeypatch, capsys):
     argv = [str(tmp_path), str(tmp_path), "--pairs", "1", "--seconds", "1"]
     assert bench_pairs.main(argv + ["--workload", "cv"]) == 0
     assert bench_pairs.main(argv + ["--workload", "cv", "--workload", "online"]) == 1
+
+
+def test_out_file_is_the_printed_summaries_plus_the_environment(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    benchmark = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}
+    (parent / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for cmd in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "benchmark"]):
+        subprocess.run(git + cmd, cwd=parent, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=parent, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        wall = 1.0 if checkout == parent else 0.5
+        return {"correct": True, "metrics": {"wall_s": {"value": wall}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setenv("LHN_THREADS", "1")
+    out = tmp_path / "BENCH_0.json"
+    rc = bench_pairs.main([str(parent), str(change), "--workload", "latent-fit", "--pairs", "2",
+                           "--seconds", "1", "--out", str(out)])
+    assert rc == 0
+    printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+    record = json.loads(out.read_text())
+    assert record == {"summaries": printed, "environment": record["environment"]}
+    env = record["environment"]
+    assert env["commits"] == {"parent": head, "change": None}  # the change is no git checkout
+    assert env["LHN_THREADS"] == "1" and env["nproc"] >= 1
+    assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,92 @@ def test_per_layer_fit_matches_direct_fit(trained):
         assert np.array_equal(direct.weights, fitted.weights)
 
 
+@pytest.fixture(scope="module")
+def wide_taps():
+    """An untrained convnet3 on 256 windows of 128x2: four taps, the first 2784 of 5360 columns."""
+    ds = synthetic.make_synthetic_dataset(n_windows=256, window_len=128, seed=5)
+    cfg = convnet.preset("convnet3", ds.window_len, ds.channels, ds.n_classes)
+    return ds, cfg, convnet.init_params(cfg, 0)
+
+
+def tap_bytes(ds, cfg):
+    """Bytes of all of a dataset's taps, and of its widest one."""
+    widths = cfg.tap_widths()
+    return 8 * len(ds) * sum(widths), 8 * len(ds) * max(widths)
+
+
+def peak_after_collection(monkeypatch, run):
+    """Bytes traced at run()'s peak once its taps are collected, above those traced at its start.
+
+    The forward's own chunk buffers, freed before the taps are returned, are
+    not counted. run() goes once untraced first, so lazy imports are not either.
+    """
+    collect = lhn.collect_pool_features
+
+    def collected(*args):
+        taps = collect(*args)
+        tracemalloc.reset_peak()
+        return taps
+
+    monkeypatch.setattr(lhn, "collect_pool_features", collected)
+    run()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_fit_holds_one_standardized_copy_of_a_tap(wide_taps, monkeypatch, reduce):
+    ds, cfg, params = wide_taps
+    taps, widest = tap_bytes(ds, cfg)
+    peak = peak_after_collection(
+        monkeypatch,
+        lambda: lhn.lhn_fit(params, cfg, ds, 3, TrainingConfig(epochs=1), reduce=reduce),
+    )
+    # Reduced, the fit holds the taps and the standardized copy of the widest.
+    # Unreduced, the latent matrix is as wide as all the taps, and concatenating
+    # it holds both.
+    assert peak <= 1.1 * (taps + (widest if reduce else taps))
+
+
+def test_export_all_holds_the_combined_taps_and_one_standardized_copy(wide_taps, monkeypatch):
+    ds, cfg, params = wide_taps
+    taps, _ = tap_bytes(ds, cfg)
+    model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
+    peak = peak_after_collection(
+        monkeypatch, lambda: lhn.export_projection(model, params, cfg, ds, "all")
+    )
+    assert peak <= 1.1 * 2 * taps
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_layer_maps_equal_direct_fits_on_each_tap(wide_taps, reduce):
+    ds, cfg, params = wide_taps
+    model = lhn.lhn_fit(
+        params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1), reduce=reduce
+    )
+    taps = lhn.collect_pool_features(params, cfg, ds)
+    if reduce:
+        indicators = pls.one_hot(ds.labels(), ds.n_classes)
+        direct = [pls.nipals_fit(tap, indicators, 3) for tap in taps]
+        for d, fitted in zip(direct, model.pls_models, strict=True):
+            assert np.array_equal(d.weights, fitted.weights)
+        pairs = [(d.x_standardizer, f.x_standardizer) for d, f in zip(direct, model.pls_models)]
+    else:
+        pairs = list(zip(map(pls.standardize_fit, taps), model.tap_standardizers, strict=True))
+    for d, fitted in pairs:
+        assert np.array_equal(d.means, fitted.means)
+        assert np.array_equal(d.stds, fitted.stds)
+
+
 @pytest.mark.parametrize("reduce", [True, False])
 def test_transform_matches_training_latent_row(trained, reduce, monkeypatch):
     ds, cfg, params = trained
@@ -253,6 +340,44 @@ def test_model_fields_cannot_be_reassigned(built_models, source, reduce):
     for f in dataclasses.fields(model):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, f.name, getattr(model, f.name))
+
+
+def model_arrays(model):
+    """Every array a model holds, its layer maps' included, by name."""
+    out = {"classifier_weights": model.classifier_weights, "classifier_bias": model.classifier_bias,
+           "head_bias": model.head_bias}
+    out |= {f"head_weights[{i}]": h for i, h in enumerate(model.head_weights)}
+    for i, m in enumerate(model.pls_models):
+        names = ("weights", "scaled_weights", "offset")
+        out |= {f"pls_models[{i}].{n}": getattr(m, n) for n in names}
+        out |= {f"pls_models[{i}].{n}": getattr(m.x_standardizer, n) for n in ("means", "stds")}
+    for i, s in enumerate(model.tap_standardizers):
+        out |= {f"tap_standardizers[{i}].{n}": getattr(s, n) for n in ("means", "stds")}
+    return out
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("source", ["fitted", "loaded"])
+def test_model_arrays_cannot_be_written(built_models, source, reduce):
+    arrays = model_arrays(built_models[source, reduce])
+    assert len(arrays) == (15 if reduce else 9)  # two pool layers
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] += 50.0  # would leave the folded head stale
+        assert a.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+def test_replaced_bias_may_be_a_list_and_is_copied(trained, built_models, reduce):
+    ds, cfg, params = trained
+    model = built_models["fitted", reduce]
+    flat = dataclasses.replace(model, classifier_bias=[0.0] * ds.n_classes)
+    rows = lhn.lhn_predict_dataset(flat, params, cfg, ds)
+    assert [lhn.lhn_predict(flat, params, cfg, w.values) for w in ds.windows] == rows.tolist()
+    bias = np.arange(ds.n_classes, dtype=np.float64)
+    shifted = dataclasses.replace(model, classifier_bias=bias)
+    bias[0] += 50.0  # the caller's array, not the model's
+    assert shifted.classifier_bias[0] == 0.0
 
 
 @pytest.mark.parametrize("reduce", [True, False])

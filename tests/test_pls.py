@@ -106,6 +106,23 @@ class TestStandardizer:
         x = np.random.default_rng(5).normal(size=(4, 3))
         assert np.array_equal(pls.standardize_apply(s, x), x)
 
+    def test_apply_keeps_its_input_and_the_plain_expression_bits(self):
+        x = np.random.default_rng(8).normal(3.0, 2.0, size=(50, 7))
+        s = pls.standardize_fit(x)
+        kept = x.copy()
+        z = pls.standardize_apply(s, x)
+        assert np.array_equal(x, kept)
+        assert np.array_equal(z, (x - s.means) / s.stds)
+
+    def test_arrays_are_read_only_copies(self):
+        means = np.zeros(3)
+        s = pls.Standardizer(means=means, stds=[1.0, 2.0, 4.0])
+        means[0] = 5.0
+        assert s.means[0] == 0.0 and s.stds.dtype == np.float64
+        for a in (s.means, s.stds):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
     def test_round_trip(self):
         x = np.random.default_rng(6).normal(size=(12, 5))
         s = pls.standardize_fit(x)
