@@ -52,8 +52,8 @@ class LhnModel:
     Checked and folded once, when built, as PlsModel folds its standardizer: the
     logits of a window's taps are ``head_bias + sum_i tap_i @ head_weights[i]``,
     which equals classifying its latent vector. A field cannot be reassigned
-    and every array is a read-only copy; dataclasses.replace builds a changed
-    copy, checked and folded anew.
+    and every array is read-only (pls.read_only); dataclasses.replace builds
+    a changed copy, checked and folded anew.
     """
 
     pls_models: list[pls.PlsModel]
@@ -89,8 +89,8 @@ class LhnModel:
             pairs = list(zip(self.tap_standardizers, blocks))
             head = [w / s.stds[:, None] for s, w in pairs]
             shifts = [-(s.means / s.stds) @ w for s, w in pairs]
-        object.__setattr__(self, "head_weights", [pls.read_only(h) for h in head])
-        object.__setattr__(self, "head_bias", pls.read_only(self.classifier_bias + sum(shifts)))
+        object.__setattr__(self, "head_weights", [pls.sealed(h) for h in head])
+        object.__setattr__(self, "head_bias", pls.sealed(self.classifier_bias + sum(shifts)))
 
     @property
     def reduced(self) -> bool:

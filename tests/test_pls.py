@@ -122,6 +122,14 @@ class TestStandardizer:
         for a in (s.means, s.stds):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+        # a sealed array is taken as it is; a read-only view of a writable one is copied
+        assert pls.read_only(s.stds) is s.stds
+        stds = np.ones(3)
+        view = stds[:]
+        view.flags.writeable = False
+        s = pls.Standardizer(means=np.zeros(3), stds=view)
+        stds[0] = 2.0
+        assert s.stds[0] == 1.0
 
     def test_round_trip(self):
         x = np.random.default_rng(6).normal(size=(12, 5))
