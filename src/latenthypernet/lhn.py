@@ -227,7 +227,9 @@ def _latent(pls_models, tap_standardizers, taps: list[np.ndarray]) -> np.ndarray
     """Each tap through its layer's map, concatenated in layer order."""
     maps = pls_models or tap_standardizers
     if len(taps) != len(maps):
-        raise ShapeError(f"network exposes {len(taps)} pool layers, model was fitted on {len(maps)}")
+        raise ShapeError(
+            f"network exposes {len(taps)} pool layers, model was fitted on {len(maps)}"
+        )
     return np.concatenate([_project(m, t) for m, t in zip(maps, taps)], axis=1)
 
 
