@@ -44,16 +44,16 @@ def main():
         "--data", csv_path,
         "--rate", str(rate),
         "--window-seconds", str(window_len / rate),
-        "--seed", str(args.seed),
         "--out-dir", args.out_dir,
     ]
+    seed = ["--seed", str(args.seed)]  # only the commands that train draw random numbers
     params = os.path.join(args.out_dir, "convnet1.params.json")
     model = os.path.join(args.out_dir, "convnet1.lhn.json")
     log = os.path.join(args.out_dir, "training.log")
 
-    run(["train", *data, "--arch", "convnet1", "--epochs", epochs, "--log-file", log])
-    run(["lhn-fit", *data, "--params", params, "--epochs", epochs])
-    run(["evaluate", *data, "--arch", "convnet1", "--epochs", epochs, "--folds", folds])
+    run(["train", *data, *seed, "--arch", "convnet1", "--epochs", epochs, "--log-file", log])
+    run(["lhn-fit", *data, *seed, "--params", params, "--epochs", epochs])
+    run(["evaluate", *data, *seed, "--arch", "convnet1", "--epochs", epochs, "--folds", folds])
     run(["benchmark-time", *data, "--params", params, "--lhn-model", model, "--runs", runs])
     run(["project", *data, "--params", params, "--lhn-model", model, "--layers", "last"])
     run(["project", *data, "--params", params, "--lhn-model", model, "--layers", "all"])

@@ -79,7 +79,6 @@ class RunConfig:
     runs: int = _setting(30, "timed passes per system", int)
     out_dir: str = _setting(".", "output directory; env LHN_OUT_DIR beats the config file")
     no_reduction: bool = _setting(False, "classify z-scored raw taps, not projections", _parse_bool)
-    welch: bool = _setting(False, "use the unequal-variance t-test", _parse_bool)
     layers: str = _setting(
         "last", "project the last pool layer, or a fresh fit on all taps", choices=("last", "all")
     )
@@ -300,7 +299,6 @@ def cmd_benchmark_time(cfg: RunConfig) -> int:
         lambda w: lhn.lhn_predict(model, params, config, w),
         dataset,
         runs=cfg.runs,
-        welch=cfg.welch,
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -341,9 +339,10 @@ def cmd_project(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMON = ("seed", "out_dir", "data", "rate", "label_column", "subject_column", "channels",
+_COMMON = ("out_dir", "data", "rate", "label_column", "subject_column", "channels",
            "window_seconds", "stride")
-_TRAINING = ("epochs", "batch_size", "learning_rate", "momentum")
+# what _training_config reads; seed is here because only the training commands draw one
+_TRAINING = ("epochs", "batch_size", "learning_rate", "momentum", "seed")
 
 # command -> (handler, summary, the RunConfig settings it takes as flags, in help order)
 _COMMANDS = {
@@ -354,7 +353,7 @@ _COMMANDS = {
     "evaluate": (cmd_evaluate, "k-fold cross-validation of convnet vs latent hypernet",
                  (*_COMMON, *_TRAINING, "arch", "components", "folds", "no_reduction")),
     "benchmark-time": (cmd_benchmark_time, "compare per-window prediction time statistically",
-                       (*_COMMON, "params", "lhn_model", "runs", "welch")),
+                       (*_COMMON, "params", "lhn_model", "runs")),
     "project": (cmd_project, "export a two-component latent scatter as CSV",
                 (*_COMMON, "params", "lhn_model", "layers", "out")),
 }

@@ -229,8 +229,10 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
     """Output shape of every layer, validating the layer order and extents.
 
     The one accepted order is k stages of (conv, maxpool), k >= 0, then
-    flatten, dense, softmax; every maxpool is 2x1. Shapes are (maps, h, w)
-    through the stages, then (units,); a NetworkConfig keeps it as `shapes`.
+    flatten, dense, softmax; every maxpool is 2x1. The input extents, each
+    conv's filters and kernel extents, and the dense units must be at least
+    1, and no map may shrink below 1x1. Shapes are (maps, h, w) through the
+    stages, then (units,); a NetworkConfig keeps it as `shapes`.
     """
     kinds = tuple(spec.kind for spec in config.layers)
     expected = ("conv", "maxpool") * kinds.count("conv") + ("flatten", "dense", "softmax")
@@ -241,10 +243,19 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
                 f"expected {want or 'no further layer'}: a network is (conv, maxpool) * k, "
                 f"then flatten, dense, softmax"
             )
+    if config.input_h < 1 or config.input_w < 1:
+        raise ArchitectureError(
+            f"{config.name}: input is {config.input_h}x{config.input_w}, both extents must be >= 1"
+        )
     shapes: list[tuple[int, ...]] = []
     maps, h, w = 1, config.input_h, config.input_w
     for i in range(0, len(config.layers) - 3, 2):
         spec, pool = config.layers[i], config.layers[i + 1]
+        if min(spec.filters, spec.kernel_h, spec.kernel_w) < 1:
+            raise ArchitectureError(
+                f"{config.name}: layer {i + 1} (conv) needs at least 1 filter and a kernel "
+                f"of at least 1x1, got {spec.filters} filters of {spec.kernel_h}x{spec.kernel_w}"
+            )
         h, w, maps = h - spec.kernel_h + 1, w - spec.kernel_w + 1, spec.filters
         if h < 1 or w < 1:
             raise ArchitectureError(

@@ -3,7 +3,7 @@
 Recall is macro-averaged: the unweighted mean of per-class true-positive
 rates, so rare classes count as much as common ones. The timing harness
 reports per-system means with 95% confidence intervals and decides
-equivalence with a two-sample unpaired t-test.
+equivalence with a pooled equal-variance two-sample t-test.
 """
 from __future__ import annotations
 
@@ -160,6 +160,8 @@ def student_t_critical(dof: float, alpha: float = ALPHA) -> float:
 
 @dataclass(frozen=True)
 class TimingReport:
+    """Two systems' per-run timings and a pooled equal-variance t-test of their means."""
+
     samples_a: np.ndarray  # per-run mean prediction seconds, system a
     samples_b: np.ndarray
     mean_a: float
@@ -177,12 +179,11 @@ class TimingReport:
         return "equivalent" if self.equivalent else "not-equivalent"
 
 
-def timing_stats(samples_a, samples_b, welch: bool = False) -> TimingReport:
-    """Mean/CI per system plus an unpaired two-sample t-test.
+def timing_stats(samples_a, samples_b) -> TimingReport:
+    """Mean/CI per system plus a pooled equal-variance two-sample t-test.
 
-    Default is the pooled equal-variance test; welch=True uses the unequal
-    variance form with Welch-Satterthwaite degrees of freedom. When both
-    sample sets are constant and equal the statistic is defined as 0.
+    The test has na + nb - 2 degrees of freedom. When both sample sets are
+    constant and equal the statistic is defined as 0.
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
@@ -196,18 +197,9 @@ def timing_stats(samples_a, samples_b, welch: bool = False) -> TimingReport:
     ci_half_a = student_t_critical(na - 1) * math.sqrt(var_a / na)
     ci_half_b = student_t_critical(nb - 1) * math.sqrt(var_b / nb)
 
-    if welch:
-        se2 = var_a / na + var_b / nb
-        if se2 > 0.0:
-            dof = se2**2 / (
-                (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
-            )
-        else:
-            dof = na + nb - 2
-    else:
-        pooled = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
-        se2 = pooled * (1.0 / na + 1.0 / nb)
-        dof = na + nb - 2
+    pooled = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
+    se2 = pooled * (1.0 / na + 1.0 / nb)
+    dof = na + nb - 2
 
     diff = mean_a - mean_b
     if se2 == 0.0:
@@ -235,7 +227,6 @@ def timing_benchmark(
     predict_b,
     dataset: Dataset,
     runs: int = 30,
-    welch: bool = False,
 ) -> TimingReport:
     """Wall-clock per-window prediction time of two predictors.
 
@@ -259,4 +250,4 @@ def timing_benchmark(
             for values in windows:
                 fn(values)
             out[r] = (time.perf_counter() - start) / len(windows)
-    return timing_stats(samples_a, samples_b, welch=welch)
+    return timing_stats(samples_a, samples_b)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -260,14 +261,19 @@ def segment(
 ) -> list[Window]:
     """Cut a recording into windows of t samples every `stride_samples` rows.
 
-    Stride defaults to t (non-overlapping). A recording shorter than one
-    window yields an empty list; trailing samples that do not fill a whole
-    window are dropped.
+    Stride defaults to t (non-overlapping). It must be a whole number >= 1;
+    a whole float such as 2.0 reads as 2, while 2.5, nan or inf is refused,
+    not truncated. A recording shorter than one window yields an empty list;
+    trailing samples that do not fill a whole window are dropped.
     """
     t = window_samples(window_seconds, rec.sampling_rate_hz)
-    stride = t if stride_samples is None else int(stride_samples)
-    if stride < 1:
-        raise ParameterError("stride_samples must be a positive integer")
+    stride = t if stride_samples is None else stride_samples
+    whole = isinstance(stride, numbers.Real) and math.isfinite(stride) and stride == int(stride)
+    if not (whole and stride >= 1):
+        raise ParameterError(
+            f"stride_samples must be a positive integer, got {stride_samples!r}"
+        )
+    stride = int(stride)
     n = rec.samples.shape[0]
     if n < t:
         return []

@@ -140,12 +140,18 @@ def lhn_fit(
     supports are clamped (with a warning) by the projection fit. Layers go
     in order, and each layer's raw taps are released once they are
     projected, so the fit holds the taps plus one standardized copy of the
-    tap being fitted.
+    tap being fitted. The dataset must have as many classes as the
+    network's softmax, so that check_pair accepts the model with it.
     """
     if components < 1:
         raise ParameterError("components must be >= 1")
     labels = dataset.labels()
     k = dataset.n_classes
+    if k != config.n_classes:
+        raise ParameterError(
+            f"the dataset has {k} classes but network {config.name!r} classifies "
+            f"{config.n_classes}"
+        )
     if len(np.unique(labels)) < 2:
         raise DegenerateClassError("need windows from at least 2 classes")
 

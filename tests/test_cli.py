@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -162,6 +163,28 @@ def test_lhn_fit_window_mismatch(trained_files, capsys):
     )
     assert rc == 2
     assert "expects 40x2" in capsys.readouterr().err
+
+
+def test_lhn_fit_on_fewer_classes_than_the_network_exits_two(trained_files, tmp_path, capsys):
+    data_csv, params_path, _ = trained_files
+    lines = data_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    fewer = tmp_path / "three-classes.csv"
+    fewer.write_text("".join(l for l in lines if not l.startswith("slow_smooth,")), "utf-8")
+    out = tmp_path / "fewer.lhn.json"
+    rc = cli.main(
+        [
+            "lhn-fit",
+            "--data", str(fewer),
+            "--rate", str(RATE),
+            "--window-seconds", "5",
+            "--params", str(params_path),
+            "--epochs", "1",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "the dataset has 3 classes but network 'convnet1' classifies 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["benchmark-time", "project"])
@@ -388,10 +411,10 @@ def test_unknown_flag_exits_two():
 
 
 COMMON_FLAGS = {
-    "--config", "--seed", "--out-dir", "--data", "--rate", "--label-column",
+    "--config", "--out-dir", "--data", "--rate", "--label-column",
     "--subject-column", "--channels", "--window-seconds", "--stride",
 }
-TRAINING_FLAGS = {"--epochs", "--batch-size", "--learning-rate", "--momentum"}
+TRAINING_FLAGS = {"--epochs", "--batch-size", "--learning-rate", "--momentum", "--seed"}
 FLAGS = {
     "train": COMMON_FLAGS | TRAINING_FLAGS | {"--arch", "--out", "--log-file"},
     "lhn-fit": COMMON_FLAGS
@@ -400,7 +423,7 @@ FLAGS = {
     "evaluate": COMMON_FLAGS
     | TRAINING_FLAGS
     | {"--arch", "--components", "--folds", "--no-reduction"},
-    "benchmark-time": COMMON_FLAGS | {"--params", "--lhn-model", "--runs", "--welch"},
+    "benchmark-time": COMMON_FLAGS | {"--params", "--lhn-model", "--runs"},
     "project": COMMON_FLAGS | {"--params", "--lhn-model", "--layers", "--out"},
 }
 
@@ -425,7 +448,6 @@ NON_DEFAULT = {
     "runs": ("6", 6),
     "out_dir": ("elsewhere", "elsewhere"),
     "no_reduction": (None, True),
-    "welch": (None, True),
     "layers": ("all", "all"),
     "params": ("p.params.json", "p.params.json"),
     "lhn_model": ("m.lhn.json", "m.lhn.json"),
@@ -478,7 +500,40 @@ def test_help_lists_every_flag_and_default(command, capsys):
         default = getattr(cli.RunConfig(), name, None)
         if default is not None and default is not False:  # `is`: seed's 0 == False
             assert f"(default: {default})" in text, flag
-    assert "(default: 0)" in text  # --seed
+    if "--seed" in FLAGS[command]:
+        assert "(default: 0)" in text
+
+
+def test_welch_switch_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["benchmark-time", "--welch"])
+    assert exc.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("welch = true\n", encoding="utf-8")
+    assert cli.main(["benchmark-time", "--config", str(config)]) == 2
+    assert f"{config}: line 1: unknown key 'welch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["benchmark-time", "project"])
+def test_commands_that_draw_no_random_number_take_no_seed_flag(command, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    config = tmp_path / "shared.cfg"  # a config file stays shared across commands
+    config.write_text("seed = 3\n", encoding="utf-8")
+    assert cli._resolve(cli.build_parser().parse_args([command, "--config", str(config)])).seed == 3
+
+
+def test_cli_defaults_are_the_librarys():
+    from latenthypernet import evaluation
+
+    cfg, hyper = cli.RunConfig(), convnet.TrainingConfig()
+    for name in ("epochs", "batch_size", "learning_rate", "momentum", "seed"):
+        assert getattr(cfg, name) == getattr(hyper, name), name
+    assert cfg.components == lhn.DEFAULT_COMPONENTS
+    assert cfg.folds == inspect.signature(evaluation.run_cv).parameters["folds"].default
+    assert cfg.runs == inspect.signature(evaluation.timing_benchmark).parameters["runs"].default
+    assert cli._ARCHES == tuple(convnet.PRESET_CONV_STAGES)
 
 
 def test_config_file_value_outside_choices_exits_two(tmp_path, capsys):
@@ -488,7 +543,7 @@ def test_config_file_value_outside_choices_exits_two(tmp_path, capsys):
     assert "arch must be one of convnet1, convnet2, convnet3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["welch = maybe", "runs = many"])
+@pytest.mark.parametrize("line", ["no_reduction = maybe", "runs = many"])
 def test_config_file_bad_value_names_file_and_line(line, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(f"# comment\n{line}\n", encoding="utf-8")

@@ -138,6 +138,10 @@ def batch_gradients(params, x, labels):
     return outputs, grad_logits, convnet._backward_batch(params, x, outputs, grad_logits)
 
 
+DENSE_HEAD = (convnet.flatten(), convnet.dense(3), convnet.softmax())
+NEEDS_EXTENTS = "needs at least 1 filter and a kernel of at least 1x1"
+
+
 class TestPresets:
     def test_convnet1_pool1_shape(self):
         cfg = convnet.preset("convnet1", 500, 2, 12)
@@ -210,13 +214,31 @@ class TestPresets:
                 "bad: layer 3 (dense) breaks the layer order, expected softmax: "
                 "a network is (conv, maxpool) * k, then flatten, dense, softmax",
             ),
+            (  # would build a 13-row map
+                (convnet.conv(4, 0, 1), convnet.maxpool(), *DENSE_HEAD),
+                f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 4 filters of 0x1",
+            ),
+            (  # would build 0 maps
+                (convnet.conv(0, 3, 1), convnet.maxpool(), *DENSE_HEAD),
+                f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 0 filters of 3x1",
+            ),
+            (  # would build a 4-column map
+                (convnet.conv(2, 3, -1), convnet.maxpool(), *DENSE_HEAD),
+                f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 2 filters of 3x-1",
+            ),
         ],
-        ids=["pool-3x1", "second-dense"],
+        ids=["pool-3x1", "second-dense", "kernel-h-0", "filters-0", "kernel-w-negative"],
     )
     def test_config_that_breaks_the_rule_cannot_be_built(self, layers, message):
         # so predict and forward_with_taps never receive one
         with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
             convnet.NetworkConfig(name="bad", layers=layers, input_h=12, input_w=2)
+
+    @pytest.mark.parametrize("input_h, input_w", [(64, 0), (0, 2), (-1, 2)])
+    def test_input_extent_below_one_cannot_be_built(self, input_h, input_w):
+        message = f"convnet1: input is {input_h}x{input_w}, both extents must be >= 1"
+        with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
+            convnet.preset("convnet1", input_h, input_w, 4)
 
     def test_shapes_are_kept_and_take_no_part_in_equality(self):
         cfg = convnet.preset("convnet3", 128, 2, 4)
@@ -766,6 +788,17 @@ class TestPersistence:
         layers[-2:] = [by_kind[kind] for kind in tail.split()]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError, match=": config: .*dense"):
+            convnet.load_params(path)
+
+    def test_kernel_without_rows_rejected_at_load(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        # a self-consistent file: the first kernel is 0 rows tall, so its map is 49 rows
+        # and the dense layer takes 32 maps of 6x1
+        payload["config"]["layers"][0]["kernel_h"] = 0
+        payload["conv_kernels"][0] = {"shape": [24, 1, 0, 2], "data": []}
+        payload["dense_weights"] = {"shape": [192, 4], "data": [0.0] * 192 * 4}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=r": config: .*layer 1 \(conv\).*of 0x2"):
             convnet.load_params(path)
 
     def test_infeasible_config_rejected(self, tmp_path):

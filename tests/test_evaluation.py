@@ -257,12 +257,13 @@ class TestTimingStats:
         expected = evaluation.student_t_critical(29) * a.std(ddof=1) / math.sqrt(30)
         assert report.ci_half_a == pytest.approx(expected, rel=1e-12)
 
-    def test_welch_variant(self):
+    def test_degrees_of_freedom_are_pooled_for_unequal_spreads(self):
         rng = np.random.default_rng(3)
         a = rng.normal(1.0, 0.01, size=30)
         b = rng.normal(1.0, 0.5, size=30)
-        report = evaluation.timing_stats(a, b, welch=True)
-        assert report.degrees_of_freedom < 58  # pooled dof would be exactly 58
+        report = evaluation.timing_stats(a, b)
+        assert report.degrees_of_freedom == 58  # na + nb - 2, whatever the variances
+        assert report.critical_value == evaluation.student_t_critical(58)
 
     def test_too_few_runs(self):
         with pytest.raises(InputError):

@@ -220,6 +220,23 @@ class TestSegment:
         rec = make_recording(np.zeros((3, 1)))
         assert ingest.segment(rec, window_seconds=5.0) == []
 
+    @pytest.mark.parametrize(
+        "stride, shown", [(2.5, "2.5"), (0.5, "0.5"), (float("nan"), "nan"),
+                          (float("inf"), "inf"), (0, "0"), (-3, "-3"), ("2", "'2'")]
+    )
+    def test_stride_that_is_not_a_whole_number_from_one_is_refused(self, stride, shown):
+        rec = make_recording(np.zeros((20, 1)), rate=10.0)
+        message = f"stride_samples must be a positive integer, got {shown}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ingest.segment(rec, window_seconds=0.5, stride_samples=stride)
+
+    @pytest.mark.parametrize("stride", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_whole_stride_reads_as_its_integer(self, stride):
+        rec = make_recording(np.arange(20.0).reshape(20, 1), rate=10.0)
+        windows = ingest.segment(rec, window_seconds=0.5, stride_samples=stride)
+        assert len(windows) == 8
+        assert [w.values[0, 0] for w in windows] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+
     def test_deterministic(self):
         rec = make_recording(np.random.default_rng(0).normal(size=(40, 2)))
         a = ingest.segment(rec, window_seconds=7.0, stride_samples=2)

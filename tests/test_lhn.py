@@ -450,6 +450,22 @@ def test_requires_two_classes(trained):
         lhn.lhn_fit(params, cfg, single, components=2)
 
 
+@pytest.mark.parametrize("reduce", [True, False])
+def test_class_count_other_than_the_networks_is_refused_first(trained, monkeypatch, reduce):
+    ds, cfg, params = trained
+    k = cfg.n_classes
+    kept = [w for w in ds.windows if w.label < k - 1]  # a fitted model would fail check_pair
+    fewer = type(ds)(windows=kept, class_names=ds.class_names[:-1], channels=ds.channels)
+
+    def no_taps(*args, **kwargs):
+        raise AssertionError("taps collected before the class count was checked")
+
+    monkeypatch.setattr(lhn, "collect_pool_features", no_taps)
+    message = f"the dataset has {k - 1} classes but network 'convnet1' classifies {k}"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        lhn.lhn_fit(params, cfg, fewer, components=2, reduce=reduce)
+
+
 def test_no_reduction_ablation(trained):
     ds, cfg, params = trained
     model = lhn.lhn_fit(
