@@ -72,7 +72,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .ingest import Dataset, class_indices
+from .ingest import Dataset, class_indices, is_integer
 
 PARAMS_FORMAT = "convnet-params"
 PARAMS_VERSION = 1
@@ -157,10 +157,11 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
+        integers = all(map(is_integer, (self.epochs, self.batch_size, self.seed)))
+        if not integers or min(self.epochs, self.batch_size) < 1 or self.seed < 0:
             raise ParameterError(
-                f"training needs epochs >= 1 and batch_size >= 1, "
-                f"got {self.epochs} and {self.batch_size}"
+                f"training needs integer epochs >= 1 and batch_size >= 1 and an integer seed "
+                f">= 0, got {self.epochs}, {self.batch_size} and {self.seed}"
             )
         for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
@@ -230,9 +231,11 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
 
     The one accepted order is k stages of (conv, maxpool), k >= 0, then
     flatten, dense, softmax; every maxpool is 2x1. The input extents, each
-    conv's filters and kernel extents, and the dense units must be at least
-    1, and no map may shrink below 1x1. Shapes are (maps, h, w) through the
-    stages, then (units,); a NetworkConfig keeps it as `shapes`.
+    conv's filters and kernel extents, and the dense units must be integers
+    (is_integer: a float such as 64.0 would give the same shapes but another
+    config_digest) of at least 1, and no map may shrink below 1x1. Shapes are
+    (maps, h, w) through the stages, then (units,); a NetworkConfig keeps it
+    as `shapes`.
     """
     kinds = tuple(spec.kind for spec in config.layers)
     expected = ("conv", "maxpool") * kinds.count("conv") + ("flatten", "dense", "softmax")
@@ -243,6 +246,11 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
                 f"expected {want or 'no further layer'}: a network is (conv, maxpool) * k, "
                 f"then flatten, dense, softmax"
             )
+    if not (is_integer(config.input_h) and is_integer(config.input_w)):
+        raise ArchitectureError(
+            f"{config.name}: input is {config.input_h}x{config.input_w}, "
+            f"both extents must be integers"
+        )
     if config.input_h < 1 or config.input_w < 1:
         raise ArchitectureError(
             f"{config.name}: input is {config.input_h}x{config.input_w}, both extents must be >= 1"
@@ -251,6 +259,11 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
     maps, h, w = 1, config.input_h, config.input_w
     for i in range(0, len(config.layers) - 3, 2):
         spec, pool = config.layers[i], config.layers[i + 1]
+        if not all(map(is_integer, (spec.filters, spec.kernel_h, spec.kernel_w))):
+            raise ArchitectureError(
+                f"{config.name}: layer {i + 1} (conv) needs integer filters and kernel "
+                f"extents, got {spec.filters} filters of {spec.kernel_h}x{spec.kernel_w}"
+            )
         if min(spec.filters, spec.kernel_h, spec.kernel_w) < 1:
             raise ArchitectureError(
                 f"{config.name}: layer {i + 1} (conv) needs at least 1 filter and a kernel "
@@ -264,7 +277,8 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
             )
         shapes.append((maps, h, w))
         where = f"{config.name}: layer {i + 2} (maxpool)"
-        if (pool.pool_h, pool.pool_w) != (2, 1):
+        pool_extents = (pool.pool_h, pool.pool_w)
+        if not all(map(is_integer, pool_extents)) or pool_extents != (2, 1):
             raise ArchitectureError(
                 f"{where}: only 2x1 pooling is supported, got {pool.pool_h}x{pool.pool_w}"
             )
@@ -273,9 +287,10 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
             raise ArchitectureError(f"{where} would produce a {h}-row map")
         shapes.append((maps, h, w))
     units = config.layers[-2].units
-    if units < 1:
+    if not is_integer(units) or units < 1:
         raise ArchitectureError(
-            f"{config.name}: layer {len(config.layers) - 1} (dense) needs at least 1 unit"
+            f"{config.name}: layer {len(config.layers) - 1} (dense) needs an integer count "
+            f"of at least 1 unit, got {units}"
         )
     return shapes + [(maps * h * w,), (units,), (units,)]
 
@@ -709,8 +724,8 @@ def _config_from_payload(payload: dict) -> NetworkConfig:
     return NetworkConfig(
         name=payload["name"],
         layers=layers,
-        input_h=int(payload["input_h"]),
-        input_w=int(payload["input_w"]),
+        input_h=payload["input_h"],
+        input_w=payload["input_w"],
     )
 
 

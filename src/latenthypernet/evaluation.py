@@ -17,7 +17,7 @@ from scipy import stats
 from . import convnet, lhn
 from .convnet import NetworkConfig, TrainingConfig
 from .errors import DegenerateClassError, InputError, ParameterError
-from .ingest import Dataset, class_indices
+from .ingest import Dataset, class_indices, is_integer
 
 ALPHA = 0.05  # two-sided level of the timing intervals and the t-test
 
@@ -61,8 +61,8 @@ def kfold_split(labels, folds: int = 10, seed: int = 0) -> FoldAssignment:
     """
     labels = class_indices(labels, np.inf)  # no class count here: any whole label >= 0
     n = labels.size
-    if folds < 2:
-        raise ParameterError("folds must be >= 2")
+    if not is_integer(folds) or folds < 2:
+        raise ParameterError(f"folds must be an integer >= 2, got {folds}")
     if n < folds:
         raise InputError(f"cannot split {n} windows into {folds} folds")
     rng = np.random.default_rng(seed)
@@ -235,8 +235,8 @@ def timing_benchmark(
     both equally. One untimed warmup pass runs first. Must be executed
     serially (no concurrent load) for the intervals to mean anything.
     """
-    if runs < 2:
-        raise InputError("need at least 2 runs")
+    if not is_integer(runs) or runs < 2:
+        raise InputError(f"need an integer count of at least 2 runs, got {runs}")
     if len(dataset) == 0:
         raise InputError("dataset is empty")
     windows = dataset.stacked()

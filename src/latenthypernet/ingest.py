@@ -7,7 +7,9 @@ trailing samples that do not fill a whole window are dropped. Only this
 module walks a Dataset's windows; others call labels(), stacked(), take().
 stacked() refuses windows of unequal shape with a ShapeError naming the first
 one that differs from window 0. class_indices is the one check that labels
-are whole class indices in [0, k).
+are whole class indices in [0, k). is_integer tells the counts and extents
+that configs and fits take (epochs, components, a layer's filters) from
+floats; a stride alone may be a whole float.
 """
 from __future__ import annotations
 
@@ -73,6 +75,15 @@ class SensorRecording:
 class Window:
     values: np.ndarray  # [t, channels]
     label: int  # class index within the owning dataset
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; false for every float, a whole one such as 64.0 too."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def class_indices(labels, n_classes: int) -> np.ndarray:

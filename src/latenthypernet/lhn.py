@@ -34,7 +34,7 @@ import numpy as np
 from . import convnet, fileio, pls
 from .convnet import NetworkConfig, NetworkParams, TrainingConfig
 from .errors import DegenerateClassError, FormatError, ParameterError, ShapeError
-from .ingest import Dataset
+from .ingest import Dataset, is_integer
 
 MODEL_FORMAT = "lhn-model"
 MODEL_VERSION = 2
@@ -143,8 +143,8 @@ def lhn_fit(
     tap being fitted. The dataset must have as many classes as the
     network's softmax, so that check_pair accepts the model with it.
     """
-    if components < 1:
-        raise ParameterError("components must be >= 1")
+    if not is_integer(components) or components < 1:
+        raise ParameterError(f"components must be an integer >= 1, got {components}")
     labels = dataset.labels()
     k = dataset.n_classes
     if k != config.n_classes:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import fileio
 from .errors import FormatError, InputError, NumericError, ParameterError, ShapeError
-from .ingest import class_indices
+from .ingest import class_indices, is_integer
 
 MODEL_FORMAT = "pls-model"
 MODEL_VERSION = 1
@@ -178,8 +178,8 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         raise ShapeError(f"row counts disagree: X has {X.shape[0]}, Y has {Y.shape[0]}")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise NumericError("X and Y must be finite")
-    if components < 1:
-        raise ParameterError("components must be >= 1")
+    if not is_integer(components) or components < 1:
+        raise ParameterError(f"components must be an integer >= 1, got {components}")
 
     n, m = X.shape
     k = Y.shape[1]

@@ -558,6 +558,16 @@ def test_folds_and_runs_need_two(command, flag, capsys):
     assert f"{flag} must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_seed_exits_two(command, tmp_path, data_csv, capsys):
+    # numpy refuses a negative seed; `train --seed -1` used to end in a traceback
+    argv = [command, "--data", str(data_csv), "--rate", str(RATE), "--seed", "-1",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "an integer seed >= 0, got" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bounds_of_settings_a_command_does_not_take_are_not_checked(tmp_path, data_csv):
     config = tmp_path / "shared.cfg"
     config.write_text("folds = 1\n", encoding="utf-8")

@@ -226,8 +226,27 @@ class TestPresets:
                 (convnet.conv(2, 3, -1), convnet.maxpool(), *DENSE_HEAD),
                 f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 2 filters of 3x-1",
             ),
+            (  # would build a 2.5-map stage
+                (convnet.conv(2.5, 3, 1), convnet.maxpool(), *DENSE_HEAD),
+                "bad: layer 1 (conv) needs integer filters and kernel extents, "
+                "got 2.5 filters of 3x1",
+            ),
+            (  # the same shapes as a 3-row kernel, but another config_digest
+                (convnet.conv(2, 3.0, 1), convnet.maxpool(), *DENSE_HEAD),
+                "bad: layer 1 (conv) needs integer filters and kernel extents, "
+                "got 2 filters of 3.0x1",
+            ),
+            (  # would build 10 maps of 2.5 rows
+                (convnet.conv(2, 3, 1), convnet.LayerSpec("maxpool", pool_h=2.0), *DENSE_HEAD),
+                "bad: layer 2 (maxpool): only 2x1 pooling is supported, got 2.0x1",
+            ),
+            (  # would classify 2.5 classes
+                (convnet.flatten(), convnet.dense(2.5), convnet.softmax()),
+                "bad: layer 2 (dense) needs an integer count of at least 1 unit, got 2.5",
+            ),
         ],
-        ids=["pool-3x1", "second-dense", "kernel-h-0", "filters-0", "kernel-w-negative"],
+        ids=["pool-3x1", "second-dense", "kernel-h-0", "filters-0", "kernel-w-negative",
+             "filters-fractional", "kernel-h-float", "pool-float", "units-fractional"],
     )
     def test_config_that_breaks_the_rule_cannot_be_built(self, layers, message):
         # so predict and forward_with_taps never receive one
@@ -239,6 +258,20 @@ class TestPresets:
         message = f"convnet1: input is {input_h}x{input_w}, both extents must be >= 1"
         with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
             convnet.preset("convnet1", input_h, input_w, 4)
+
+    @pytest.mark.parametrize(
+        "input_h, input_w",
+        [(64.5, 2), (64.0, 2), (64, 2.0), ("64", 2)],
+        ids=["h-fractional", "h-float", "w-float", "h-string"],
+    )
+    def test_input_extent_that_is_not_an_integer_cannot_be_built(self, input_h, input_w):
+        message = f"convnet1: input is {input_h}x{input_w}, both extents must be integers"
+        with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
+            convnet.preset("convnet1", input_h, input_w, 4)
+
+    def test_numpy_integer_extents_build(self):
+        cfg = convnet.preset("convnet1", np.int64(64), np.int32(2), np.int64(4))
+        assert cfg.shapes == convnet.preset("convnet1", 64, 2, 4).shapes
 
     def test_shapes_are_kept_and_take_no_part_in_equality(self):
         cfg = convnet.preset("convnet3", 128, 2, 4)
@@ -716,7 +749,11 @@ class TestTrain:
         with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
             convnet.train_arrays(cfg, x, np.array([0, 1, bad, 2]), TrainingConfig(epochs=1))
 
-    @pytest.mark.parametrize("setting", [{"epochs": 0}, {"batch_size": 0}, {"batch_size": -4}])
+    @pytest.mark.parametrize(
+        "setting",
+        [{"epochs": 0}, {"batch_size": 0}, {"batch_size": -4},
+         {"epochs": 2.5}, {"batch_size": 4.5}, {"batch_size": 32.0}, {"seed": 1.5}, {"seed": -1}],
+    )
     def test_settings_training_cannot_run(self, setting):
         ds = self.small_dataset(n=8)
         cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
@@ -799,6 +836,20 @@ class TestPersistence:
         payload["dense_weights"] = {"shape": [192, 4], "data": [0.0] * 192 * 4}
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FormatError, match=r": config: .*layer 1 \(conv\).*of 0x2"):
+            convnet.load_params(path)
+
+    @pytest.mark.parametrize(
+        "entry, value, shown",
+        [("input_h", 48.9, "input is 48.9x2"), ("input_h", 48.0, "input is 48.0x2"),
+         ("input_w", "2", "input is 48x2"), ("filters", 24.5, "got 24.5 filters of 12x2")],
+    )
+    def test_extent_that_is_not_an_integer_rejected_at_load(self, tmp_path, entry, value, shown):
+        # such a file used to load truncated by int(), or build a fractional network
+        path, payload = self.saved_payload(tmp_path)
+        where = payload["config"] if entry.startswith("input") else payload["config"]["layers"][0]
+        where[entry] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=f": config: .*{re.escape(shown)}"):
             convnet.load_params(path)
 
     def test_infeasible_config_rejected(self, tmp_path):

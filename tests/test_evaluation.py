@@ -148,6 +148,12 @@ class TestKfold:
         with pytest.raises(ParameterError, match=message):
             evaluation.kfold_split(labels, folds=2)
 
+    @pytest.mark.parametrize("folds", [1, 2.5, 3.0])
+    def test_fold_count_below_two_or_not_an_integer_refused(self, folds):
+        # 2.5 used to deal windows onto folds {0, 1, 2}
+        with pytest.raises(ParameterError, match=f"^folds must be an integer >= 2, got {folds}$"):
+            evaluation.kfold_split([0, 1] * 5, folds=folds)
+
     def test_whole_float_labels_split_like_ints(self):
         labels = np.random.default_rng(6).integers(0, 3, size=30)
         floats = evaluation.kfold_split(labels.astype(float), folds=3, seed=2)
@@ -295,5 +301,6 @@ class TestTimingBenchmark:
 
     def test_runs_floor(self):
         ds = synthetic.make_synthetic_dataset(n_windows=8, window_len=16, seed=0)
-        with pytest.raises(InputError):
-            evaluation.timing_benchmark(lambda w: 0, lambda w: 0, ds, runs=1)
+        for runs in (1, 2.5):
+            with pytest.raises(InputError, match=f"at least 2 runs, got {runs}"):
+                evaluation.timing_benchmark(lambda w: 0, lambda w: 0, ds, runs=runs)

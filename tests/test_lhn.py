@@ -466,6 +466,15 @@ def test_class_count_other_than_the_networks_is_refused_first(trained, monkeypat
         lhn.lhn_fit(params, cfg, fewer, components=2, reduce=reduce)
 
 
+@pytest.mark.parametrize("components", [0, 2.5])
+def test_component_count_below_one_or_fractional_is_refused_first(trained, monkeypatch, components):
+    ds, cfg, params = trained
+    forbid_forward_pass(monkeypatch)
+    message = f"components must be an integer >= 1, got {components}"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        lhn.lhn_fit(params, cfg, ds, components=components)
+
+
 def test_no_reduction_ablation(trained):
     ds, cfg, params = trained
     model = lhn.lhn_fit(
@@ -560,7 +569,7 @@ def test_one_input_gate(trained, gate_model, entry, bad):
         GATED[entry](gate_model, params, cfg, bad_ds.windows[0].values, bad_ds)
 
 
-@pytest.mark.parametrize("setting", [{"epochs": 0}, {"batch_size": 0}])
+@pytest.mark.parametrize("setting", [{"epochs": 0}, {"batch_size": 0}, {"epochs": 2.5}])
 def test_head_settings_training_cannot_run(trained, setting):
     ds, cfg, params = trained
     with pytest.raises(ParameterError, match="epochs >= 1 and batch_size >= 1"):

@@ -295,6 +295,8 @@ class TestNipals:
         y = pls.one_hot(rng.integers(0, 2, size=10), 2)
         with pytest.raises(ParameterError):
             pls.nipals_fit(x, y, 0)
+        with pytest.raises(ParameterError, match="an integer >= 1, got 2.5"):
+            pls.nipals_fit(x, y, 2.5)
         with pytest.raises(ShapeError):
             pls.nipals_fit(x, y[:5], 1)
         bad = x.copy()
