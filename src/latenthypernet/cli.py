@@ -8,6 +8,7 @@ names as `key = value` lines (dashes or underscores, # comments).
 
 Settings resolve in precedence order: explicit flags, then LHN_OUT_DIR
 (output directory only), then the --config file, then the field defaults.
+A setting's bounds are checked by the library code that uses it, not here.
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 
 Heavy modules are imported inside the command handlers, so `lhn --help`
@@ -138,16 +139,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if env_out:
         merged["out_dir"] = env_out
     merged.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
-    cfg = RunConfig(**merged)
-    if not cfg.window_seconds > 0:  # nan too
-        raise ParameterError("window-seconds must be positive")
-    taken = _COMMANDS[args.command][2]  # a setting the command does not read is not checked
-    lows = {"stride": 1, "epochs": 1, "batch_size": 1, "components": 1, "folds": 2, "runs": 2}
-    for name, low in lows.items():  # kfold_split needs 2 folds, timing_benchmark 2 runs
-        value = getattr(cfg, name)
-        if name in taken and value is not None and value < low:
-            raise ParameterError(f"{name.replace('_', '-')} must be >= {low}")
-    return cfg
+    return RunConfig(**merged)
 
 
 def _require_file(path: str | None, what: str) -> str:
@@ -213,12 +205,13 @@ def _load_lhn_pair(cfg: RunConfig):
 def cmd_train(cfg: RunConfig) -> int:
     from . import convnet
 
+    hyper = _training_config(cfg)  # refused settings exit before any file is made
     dataset = _load_dataset(cfg)
     config = convnet.preset(cfg.arch, dataset.window_len, dataset.channels, dataset.n_classes)
     out = _out_path(cfg, f"{cfg.arch}.params.json")
     log_fh = open(cfg.log_file, "w", encoding="utf-8") if cfg.log_file else sys.stdout
     try:
-        params = convnet.train(config, dataset, _training_config(cfg), log_stream=log_fh)
+        params = convnet.train(config, dataset, hyper, log_stream=log_fh)
     finally:
         if cfg.log_file:
             log_fh.close()

@@ -58,6 +58,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .ingest import Dataset, class_indices, is_integer
+from .ingest import Dataset, check_count, class_indices, is_integer
 
 PARAMS_FORMAT = "convnet-params"
 PARAMS_VERSION = 1
@@ -100,6 +101,16 @@ class LayerSpec:
     pool_h: int = 2
     pool_w: int = 1
     units: int = 0
+
+    def __post_init__(self):
+        _python_ints(self, ("filters", "kernel_h", "kernel_w", "pool_h", "pool_w", "units"))
+
+
+def _python_ints(obj, names) -> None:
+    """Store numpy integer fields as Python ints, which JSON writes, so configs digest alike."""
+    for name in names:
+        if is_integer(value := getattr(obj, name)):
+            object.__setattr__(obj, name, operator.index(value))
 
 
 def conv(filters: int, kernel_h: int, kernel_w: int) -> LayerSpec:
@@ -137,6 +148,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        _python_ints(self, ("input_h", "input_w"))  # propagate_shapes refuses a non-integer
         object.__setattr__(self, "shapes", tuple(propagate_shapes(self)))
 
     @property
@@ -157,12 +169,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integers = all(map(is_integer, (self.epochs, self.batch_size, self.seed)))
-        if not integers or min(self.epochs, self.batch_size) < 1 or self.seed < 0:
-            raise ParameterError(
-                f"training needs integer epochs >= 1 and batch_size >= 1 and an integer seed "
-                f">= 0, got {self.epochs}, {self.batch_size} and {self.seed}"
-            )
+        check_count(self.epochs, 1, "epochs")
+        check_count(self.batch_size, 1, "batch_size")
+        check_count(self.seed, 0, "seed")
         for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
             if not math.isfinite(value):

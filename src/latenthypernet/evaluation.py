@@ -17,7 +17,7 @@ from scipy import stats
 from . import convnet, lhn
 from .convnet import NetworkConfig, TrainingConfig
 from .errors import DegenerateClassError, InputError, ParameterError
-from .ingest import Dataset, class_indices, is_integer
+from .ingest import Dataset, check_count, class_indices
 
 ALPHA = 0.05  # two-sided level of the timing intervals and the t-test
 
@@ -61,8 +61,7 @@ def kfold_split(labels, folds: int = 10, seed: int = 0) -> FoldAssignment:
     """
     labels = class_indices(labels, np.inf)  # no class count here: any whole label >= 0
     n = labels.size
-    if not is_integer(folds) or folds < 2:
-        raise ParameterError(f"folds must be an integer >= 2, got {folds}")
+    check_count(folds, 2, "folds")
     if n < folds:
         raise InputError(f"cannot split {n} windows into {folds} folds")
     rng = np.random.default_rng(seed)
@@ -101,9 +100,10 @@ def run_cv(
     fold, fit the latent hypernet on the same training folds with the frozen
     network, and score it on the identical held-out windows. Per-fold seeds
     are derived from the master seed as seed * 1000 + fold; the latent
-    classifier trains with `hyper` and seed fold_seed + 1. A class with fewer
-    windows than folds, missing from some test fold, is refused up front.
+    classifier trains with `hyper` and seed fold_seed + 1. A bad count, or a
+    class with fewer windows than folds (missing from a test fold), is refused up front.
     """
+    check_count(components, 1, "components")
     labels = dataset.labels()
     assignment = kfold_split(labels, folds=folds, seed=seed)
     counts = np.bincount(labels, minlength=dataset.n_classes)
@@ -235,8 +235,7 @@ def timing_benchmark(
     both equally. One untimed warmup pass runs first. Must be executed
     serially (no concurrent load) for the intervals to mean anything.
     """
-    if not is_integer(runs) or runs < 2:
-        raise InputError(f"need an integer count of at least 2 runs, got {runs}")
+    check_count(runs, 2, "runs")
     if len(dataset) == 0:
         raise InputError("dataset is empty")
     windows = dataset.stacked()

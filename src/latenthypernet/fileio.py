@@ -5,12 +5,12 @@ LHN file nests per pool layer) is one JSON object ``{format, version,
 **fields}``. write_model writes it atomically; read_model parses it and
 checks its format marker and version, and check_header does the same for a
 payload that is already parsed. Inside ``with decoding(source):`` a
-KeyError, TypeError or ValueError from a missing or mistyped field becomes
-a FormatError naming the file. shaped_entry writes an array as a ``{shape,
-data}`` entry; float_array and shaped_array decode stored arrays: the caller
-passes the shape the file's own header implies, and the array must have that
-shape and hold only finite values. So a model file is rejected when it is
-loaded, not when predict trips over it.
+KeyError, TypeError, ValueError or ParameterError from a missing, mistyped
+or refused field becomes a FormatError naming the file. shaped_entry writes
+an array as a ``{shape, data}`` entry; float_array and shaped_array decode
+stored arrays: the caller passes the shape the file's own header implies,
+and the array must have that shape and hold only finite values. So a model
+file is rejected when it is loaded, not when predict trips over it.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedVersionError
+from .errors import FormatError, ParameterError, UnsupportedVersionError
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -90,11 +90,13 @@ def check_header(payload, fmt: str, version: int, source) -> dict:
 
 @contextmanager
 def decoding(source):
-    """Report a missing or mistyped field as a FormatError naming source."""
+    """Report a missing, mistyped or refused field as a FormatError naming source."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{source}: malformed field: {exc}") from None
+    except ParameterError as exc:  # the message names the field
+        raise FormatError(f"{source}: {exc}") from None
 
 
 def float_array(values, shape: tuple[int, ...], name: str, source) -> np.ndarray:

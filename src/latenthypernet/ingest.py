@@ -7,16 +7,15 @@ trailing samples that do not fill a whole window are dropped. Only this
 module walks a Dataset's windows; others call labels(), stacked(), take().
 stacked() refuses windows of unequal shape with a ShapeError naming the first
 one that differs from window 0. class_indices is the one check that labels
-are whole class indices in [0, k). is_integer tells the counts and extents
-that configs and fits take (epochs, components, a layer's filters) from
-floats; a stride alone may be a whole float.
+are whole class indices in [0, k), and check_count that a count (epochs,
+components, a stride) is an integer of at least its bound; is_integer tells
+integers from floats, a whole float such as 64.0 too.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -84,6 +83,13 @@ def is_integer(value) -> bool:
     except TypeError:
         return False
     return True
+
+
+def check_count(value, low: int, name: str) -> int:
+    """value as an int if it is an integer (is_integer) of at least low, else ParameterError."""
+    if not is_integer(value) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return operator.index(value)
 
 
 def class_indices(labels, n_classes: int) -> np.ndarray:
@@ -272,19 +278,13 @@ def segment(
 ) -> list[Window]:
     """Cut a recording into windows of t samples every `stride_samples` rows.
 
-    Stride defaults to t (non-overlapping). It must be a whole number >= 1;
-    a whole float such as 2.0 reads as 2, while 2.5, nan or inf is refused,
-    not truncated. A recording shorter than one window yields an empty list;
-    trailing samples that do not fill a whole window are dropped.
+    Stride defaults to t (non-overlapping). It must be an integer >= 1
+    (check_count); a float such as 2.0 or 2.5 is refused, not truncated. A
+    recording shorter than one window yields an empty list; trailing samples
+    that do not fill a whole window are dropped.
     """
     t = window_samples(window_seconds, rec.sampling_rate_hz)
-    stride = t if stride_samples is None else stride_samples
-    whole = isinstance(stride, numbers.Real) and math.isfinite(stride) and stride == int(stride)
-    if not (whole and stride >= 1):
-        raise ParameterError(
-            f"stride_samples must be a positive integer, got {stride_samples!r}"
-        )
-    stride = int(stride)
+    stride = t if stride_samples is None else check_count(stride_samples, 1, "stride_samples")
     n = rec.samples.shape[0]
     if n < t:
         return []

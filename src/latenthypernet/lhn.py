@@ -34,7 +34,7 @@ import numpy as np
 from . import convnet, fileio, pls
 from .convnet import NetworkConfig, NetworkParams, TrainingConfig
 from .errors import DegenerateClassError, FormatError, ParameterError, ShapeError
-from .ingest import Dataset, is_integer
+from .ingest import Dataset, check_count
 
 MODEL_FORMAT = "lhn-model"
 MODEL_VERSION = 2
@@ -68,6 +68,7 @@ class LhnModel:
     head_bias: np.ndarray = field(init=False, repr=False)  # [n_classes]
 
     def __post_init__(self):
+        object.__setattr__(self, "components", check_count(self.components, 1, "components"))
         object.__setattr__(self, "classifier_weights", pls.read_only(self.classifier_weights))
         object.__setattr__(self, "classifier_bias", pls.read_only(self.classifier_bias))
         if self.reduced == bool(self.tap_standardizers):
@@ -143,8 +144,7 @@ def lhn_fit(
     tap being fitted. The dataset must have as many classes as the
     network's softmax, so that check_pair accepts the model with it.
     """
-    if not is_integer(components) or components < 1:
-        raise ParameterError(f"components must be an integer >= 1, got {components}")
+    check_count(components, 1, "components")
     labels = dataset.labels()
     k = dataset.n_classes
     if k != config.n_classes:
@@ -348,7 +348,7 @@ def load_lhn(path) -> LhnModel:
     """
     payload = fileio.read_model(path, MODEL_FORMAT, MODEL_VERSION)
     with fileio.decoding(path):
-        layer_components = [int(v) for v in payload["layer_components"]]
+        layer_components = [check_count(v, 1, "layer_components") for v in payload["layer_components"]]
         bias = payload["classifier_bias"]
         bias = fileio.float_array(bias, (len(bias),), "classifier_bias", path)
         pls_models = [
@@ -365,19 +365,16 @@ def load_lhn(path) -> LhnModel:
             "classifier_weights",
             path,
         )
-        try:
-            model = LhnModel(
-                pls_models=pls_models,
-                tap_standardizers=tap_standardizers,
-                classifier_weights=weights,
-                classifier_bias=bias,
-                components=int(payload["components"]),
-                config_name=payload["config_name"],
-                config_digest=payload["config_digest"],
-                params_digest=payload["params_digest"],
-            )
-        except ParameterError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+        model = LhnModel(
+            pls_models=pls_models,
+            tap_standardizers=tap_standardizers,
+            classifier_weights=weights,
+            classifier_bias=bias,
+            components=payload["components"],
+            config_name=payload["config_name"],
+            config_digest=payload["config_digest"],
+            params_digest=payload["params_digest"],
+        )
     if (widths := model.layer_components) != layer_components:
         raise FormatError(
             f"{path}: per-layer widths {widths} disagree with layer_components {layer_components}"

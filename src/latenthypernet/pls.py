@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio
-from .errors import FormatError, InputError, NumericError, ParameterError, ShapeError
-from .ingest import class_indices, is_integer
+from .errors import FormatError, InputError, NumericError, ShapeError
+from .ingest import check_count, class_indices
 
 MODEL_FORMAT = "pls-model"
 MODEL_VERSION = 1
@@ -178,8 +178,7 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         raise ShapeError(f"row counts disagree: X has {X.shape[0]}, Y has {Y.shape[0]}")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise NumericError("X and Y must be finite")
-    if not is_integer(components) or components < 1:
-        raise ParameterError(f"components must be an integer >= 1, got {components}")
+    check_count(components, 1, "components")
 
     n, m = X.shape
     k = Y.shape[1]
@@ -302,13 +301,12 @@ def standardizer_from_payload(entry: dict, width: int, source) -> Standardizer:
 
 
 def model_from_payload(payload: dict, source: str = "<payload>") -> PlsModel:
-    """Decode a model_payload dict; the stored n_features and components must fit the arrays."""
+    """Decode a model_payload dict; its counts are check_count integers >= 1 that fit the arrays."""
     fileio.check_header(payload, MODEL_FORMAT, MODEL_VERSION, source)
     with fileio.decoding(source):
-        m = int(payload["n_features"])
-        c = int(payload["components"])
+        m, c, k = (check_count(payload[f], 1, f) for f in ("n_features", "components", "n_classes"))
         return PlsModel(
             weights=fileio.float_array(payload["weights"], (m, c), "weights", source),
             x_standardizer=standardizer_from_payload(payload, m, source),
-            n_classes=int(payload["n_classes"]),
+            n_classes=k,
         )

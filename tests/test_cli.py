@@ -552,10 +552,48 @@ def test_config_file_bad_value_names_file_and_line(line, tmp_path, capsys):
     assert f"{config}: line 2: bad value {value!r} for {key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag", [("evaluate", "folds"), ("benchmark-time", "runs")])
-def test_folds_and_runs_need_two(command, flag, capsys):
-    assert cli.main([command, f"--{flag}", "1"]) == 2
-    assert f"{flag} must be >= 2" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        pytest.param("evaluate", "folds", "1", "folds must be an integer >= 2, got 1",
+                     id="evaluate-folds"),
+        pytest.param("benchmark-time", "runs", "1", "runs must be an integer >= 2, got 1",
+                     id="benchmark-time-runs"),
+        pytest.param("train", "stride", "0", "stride_samples must be an integer >= 1, got 0",
+                     id="train-stride"),
+        pytest.param("train", "epochs", "0", "epochs must be an integer >= 1, got 0",
+                     id="train-epochs"),
+        pytest.param("train", "batch-size", "0", "batch_size must be an integer >= 1, got 0",
+                     id="train-batch-size"),
+        pytest.param("lhn-fit", "components", "0", "components must be an integer >= 1, got 0",
+                     id="lhn-fit-components"),
+        pytest.param("evaluate", "components", "0", "components must be an integer >= 1, got 0",
+                     id="evaluate-components"),
+        pytest.param("train", "window-seconds", "-1", "window of -1.0 s at 8.0 Hz holds no samples",
+                     id="train-window-negative"),
+        pytest.param("train", "window-seconds", "nan", "window of nan s at 8.0 Hz is not a finite",
+                     id="train-window-nan"),
+    ],
+)
+def test_folds_and_runs_need_two(trained_files, tmp_path, monkeypatch, capsys,
+                                 command, flag, value, message):
+    # the library function that reads the setting refuses it, before any training or file
+    def no_training(*args, **kwargs):
+        raise AssertionError("a refused setting reached training")
+
+    monkeypatch.setattr(convnet, "train_arrays", no_training)
+    data_csv, params_path, model_path = trained_files
+    files = {
+        "train": ["--log-file", str(tmp_path / "train.log")],
+        "lhn-fit": ["--params", str(params_path)],
+        "evaluate": [],
+        "benchmark-time": ["--params", str(params_path), "--lhn-model", str(model_path)],
+    }
+    argv = [command, "--data", str(data_csv), "--rate", str(RATE),
+            "--out-dir", str(tmp_path / "out"), *files[command], f"--{flag}", value]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -564,7 +602,7 @@ def test_negative_seed_exits_two(command, tmp_path, data_csv, capsys):
     argv = [command, "--data", str(data_csv), "--rate", str(RATE), "--seed", "-1",
             "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 2
-    assert "an integer seed >= 0, got" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -705,7 +743,7 @@ def test_file_that_is_not_utf8_is_named(command, flag, code, tmp_path, data_csv,
     [
         (["--rate", "nan"], "sampling_rate_hz must be positive and finite, got nan"),
         (["--rate", "inf"], "sampling_rate_hz must be positive and finite, got inf"),
-        (["--window-seconds", "nan"], "window-seconds must be positive"),
+        (["--window-seconds", "nan"], "window of nan s at 8.0 Hz is not a finite sample count"),
         (["--window-seconds", "inf"], "window of inf s at 8.0 Hz is not a finite sample count"),
     ],
     ids=["rate-nan", "rate-inf", "window-nan", "window-inf"],
@@ -721,11 +759,13 @@ def test_non_finite_rate_or_window_exits_two(flags, message, tmp_path, data_csv,
     "flag, value", [("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--momentum", "inf")]
 )
 def test_non_finite_training_rate_exits_two(flag, value, tmp_path, data_csv, capsys):
-    argv = ["train", "--data", str(data_csv), "--rate", str(RATE), "--out-dir", str(tmp_path)]
+    out_dir, log = tmp_path / "out", tmp_path / "train.log"
+    argv = ["train", "--data", str(data_csv), "--rate", str(RATE), "--out-dir", str(out_dir),
+            "--log-file", str(log)]
     assert cli.main([*argv, "--epochs", "1", "--batch-size", "16", flag, value]) == 2
     name = flag[2:].replace("-", "_")
     assert f"training needs a finite {name}, got {value}" in capsys.readouterr().err
-    assert not (tmp_path / "convnet1.params.json").exists()
+    assert not any(tmp_path.iterdir())  # neither the out dir nor an empty log
 
 
 def test_config_file_with_a_byte_order_mark(data_csv, tmp_path, capsys):

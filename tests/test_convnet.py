@@ -273,6 +273,15 @@ class TestPresets:
         cfg = convnet.preset("convnet1", np.int64(64), np.int32(2), np.int64(4))
         assert cfg.shapes == convnet.preset("convnet1", 64, 2, 4).shapes
 
+    def test_numpy_integer_extents_pair_and_save_as_python_ints(self, tmp_path):
+        numpy_cfg = convnet.preset("convnet1", np.int64(64), np.int32(2), np.int64(4))
+        cfg = convnet.preset("convnet1", 64, 2, 4)
+        assert convnet.config_digest(numpy_cfg) == convnet.config_digest(cfg)
+        params = convnet.init_params(cfg, 0)
+        for name, config in (("numpy", numpy_cfg), ("python", cfg)):
+            convnet.save_params(params, config, tmp_path / f"{name}.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+
     def test_shapes_are_kept_and_take_no_part_in_equality(self):
         cfg = convnet.preset("convnet3", 128, 2, 4)
         assert cfg.shapes == tuple(convnet.propagate_shapes(cfg))
@@ -757,7 +766,9 @@ class TestTrain:
     def test_settings_training_cannot_run(self, setting):
         ds = self.small_dataset(n=8)
         cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
-        with pytest.raises(ParameterError, match="epochs >= 1 and batch_size >= 1"):
+        [(name, value)] = setting.items()
+        message = f"{name} must be an integer >= {0 if name == 'seed' else 1}, got {value}"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             convnet.train(cfg, ds, TrainingConfig(**setting))
 
 

@@ -226,6 +226,15 @@ class TestRunCv:
         with pytest.raises(InputError, match=r"5 folds.*\{'slow_burst': 2\}"):
             evaluation.run_cv(ds, cfg, folds=5)
 
+    def test_component_count_refused_before_training(self, monkeypatch):
+        ds = synthetic.make_synthetic_dataset(n_windows=40, window_len=48, seed=7)
+        cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
+        trained = []
+        monkeypatch.setattr(convnet, "train", lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(ParameterError, match="^components must be an integer >= 1, got 0$"):
+            evaluation.run_cv(ds, cfg, components=0, folds=2)
+        assert trained == []
+
 
 class TestTimingStats:
     def test_identical_samples_are_equivalent(self):
@@ -302,5 +311,5 @@ class TestTimingBenchmark:
     def test_runs_floor(self):
         ds = synthetic.make_synthetic_dataset(n_windows=8, window_len=16, seed=0)
         for runs in (1, 2.5):
-            with pytest.raises(InputError, match=f"at least 2 runs, got {runs}"):
+            with pytest.raises(ParameterError, match=f"^runs must be an integer >= 2, got {runs}$"):
                 evaluation.timing_benchmark(lambda w: 0, lambda w: 0, ds, runs=runs)

@@ -26,6 +26,7 @@ make_synthetic_dataset(n_windows=8, window_len=16, seed=99).
 """
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,10 @@ def write_payload(tmp_path, payload):
 @pytest.mark.parametrize("name", ["reduced", "unreduced"])
 def test_classifier_with_fewer_than_two_classes_refused(tmp_path, name, k):
     path = write_payload(tmp_path, with_classes(golden_payload(name), k))
-    with pytest.raises(FormatError, match=f"classifier_bias holds {k} classes, fewer than 2"):
+    message = f"classifier_bias holds {k} classes, fewer than 2"
+    if name == "reduced" and k == 0:  # a layer's map of 0 classes is refused first
+        message = r"pls_models\[0\]: n_classes must be an integer >= 1, got 0"
+    with pytest.raises(FormatError, match=message):
         lhn.load_lhn(path)
 
 
@@ -163,6 +167,31 @@ def test_pls_model_class_count_must_match_the_head(tmp_path):
     payload["pls_models"][0]["n_classes"] = 7
     with pytest.raises(FormatError, match=r"pls_models\[0\]\.n_classes is 7"):
         lhn.load_lhn(write_payload(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (["components"], 3.9, "components must be an integer >= 1, got 3.9"),
+        (["components"], -3, "components must be an integer >= 1, got -3"),
+        (["layer_components"], [3.5, 3.5], "layer_components must be an integer >= 1, got 3.5"),
+        (["pls_models", 0, "n_classes"], 4.5,
+         "pls_models[0]: n_classes must be an integer >= 1, got 4.5"),
+        (["pls_models", 0, "n_features"], "21",
+         "pls_models[0]: n_features must be an integer >= 1, got '21'"),
+    ],
+    ids=["components-fractional", "components-negative", "layer-components-fractional",
+         "pls-classes-fractional", "pls-features-string"],
+)
+def test_count_field_that_is_not_an_integer_from_one_is_refused(tmp_path, keys, value, message):
+    payload = golden_payload("reduced")
+    entry = payload
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    path = write_payload(tmp_path, payload)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        lhn.load_lhn(path)
 
 
 @pytest.mark.parametrize("both", ["full", "empty"])

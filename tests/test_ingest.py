@@ -222,15 +222,17 @@ class TestSegment:
 
     @pytest.mark.parametrize(
         "stride, shown", [(2.5, "2.5"), (0.5, "0.5"), (float("nan"), "nan"),
-                          (float("inf"), "inf"), (0, "0"), (-3, "-3"), ("2", "'2'")]
+                          (float("inf"), "inf"), (0, "0"), (-3, "-3"), ("2", "'2'"),
+                          (2.0, "2.0"), (np.float64(2.0), repr(np.float64(2.0)))]
     )
     def test_stride_that_is_not_a_whole_number_from_one_is_refused(self, stride, shown):
+        # a whole float such as 2.0 is not an integer either, as for every count
         rec = make_recording(np.zeros((20, 1)), rate=10.0)
-        message = f"stride_samples must be a positive integer, got {shown}"
+        message = f"stride_samples must be an integer >= 1, got {shown}"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             ingest.segment(rec, window_seconds=0.5, stride_samples=stride)
 
-    @pytest.mark.parametrize("stride", [2, 2.0, np.int64(2), np.float64(2.0)])
+    @pytest.mark.parametrize("stride", [2, pytest.param(np.int64(2), id="stride2")])
     def test_whole_stride_reads_as_its_integer(self, stride):
         rec = make_recording(np.arange(20.0).reshape(20, 1), rate=10.0)
         windows = ingest.segment(rec, window_seconds=0.5, stride_samples=stride)

@@ -572,7 +572,8 @@ def test_one_input_gate(trained, gate_model, entry, bad):
 @pytest.mark.parametrize("setting", [{"epochs": 0}, {"batch_size": 0}, {"epochs": 2.5}])
 def test_head_settings_training_cannot_run(trained, setting):
     ds, cfg, params = trained
-    with pytest.raises(ParameterError, match="epochs >= 1 and batch_size >= 1"):
+    [(name, value)] = setting.items()
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1, got {value}$"):
         lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(**setting))
 
 
