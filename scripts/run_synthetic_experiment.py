@@ -2,8 +2,9 @@
 """End-to-end demo on synthetic data, driven through the CLI.
 
 Generates a CSV, trains a convnet, fits the latent hypernet on the frozen
-parameters, runs the paired cross-validation, compares prediction times,
-and exports the two scatter projections. Everything lands in --out-dir.
+parameters (reduced, then unreduced on z-scored raw taps), runs the paired
+cross-validation, compares prediction times, and exports the two scatter
+projections. Everything lands in --out-dir.
 
 The defaults finish in a few minutes on a laptop; pass --quick for a
 coarse but fast pass.
@@ -49,10 +50,13 @@ def main():
     seed = ["--seed", str(args.seed)]  # only the commands that train draw random numbers
     params = os.path.join(args.out_dir, "convnet1.params.json")
     model = os.path.join(args.out_dir, "convnet1.lhn.json")
+    unreduced = os.path.join(args.out_dir, "convnet1.unreduced.lhn.json")
     log = os.path.join(args.out_dir, "training.log")
 
     run(["train", *data, *seed, "--arch", "convnet1", "--epochs", epochs, "--log-file", log])
     run(["lhn-fit", *data, *seed, "--params", params, "--epochs", epochs])
+    run(["lhn-fit", *data, *seed, "--params", params, "--epochs", epochs,
+         "--no-reduction", "--out", unreduced])
     run(["evaluate", *data, *seed, "--arch", "convnet1", "--epochs", epochs, "--folds", folds])
     run(["benchmark-time", *data, "--params", params, "--lhn-model", model, "--runs", runs])
     run(["project", *data, "--params", params, "--lhn-model", model, "--layers", "last"])

@@ -9,7 +9,7 @@ stacked() refuses windows of unequal shape with a ShapeError naming the first
 one that differs from window 0. class_indices is the one check that labels
 are whole class indices in [0, k), and check_count that a count (epochs,
 components, a stride) is an integer of at least its bound; is_integer tells
-integers from floats, a whole float such as 64.0 too.
+integers from bools and from floats, a whole float such as 64.0 too.
 """
 from __future__ import annotations
 
@@ -77,7 +77,9 @@ class Window:
 
 
 def is_integer(value) -> bool:
-    """True for a Python or numpy integer; false for every float, a whole one such as 64.0 too."""
+    """True for a Python or numpy integer; false for a bool and for every float, 64.0 too."""
+    if isinstance(value, (bool, np.bool_)):  # True would count as 1
+        return False
     try:
         operator.index(value)
     except TypeError:

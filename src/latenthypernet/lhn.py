@@ -7,11 +7,12 @@ and a fresh fully connected + softmax classifier is trained on them. The
 network's weights are read, never written.
 
 Fitting one projection per stage (instead of one over the concatenated
-maps) keeps each fit small. The stages are fitted in layer order, and a
-stage's raw taps are released once they are projected, so the fit holds the
-taps plus one standardized copy of the tap it is fitting. A `reduce=False`
-switch skips the projections entirely and feeds z-scored raw taps to the
-classifier, for measuring what the reduction step contributes. A model is
+maps) keeps each fit small. The stages are fitted in layer order, each
+projection fit reads its stage's taps in place, and a stage's raw taps are
+released once they are projected, so a reduced fit holds the taps and no
+other array as large as one of them. A `reduce=False` switch skips the
+projections entirely and feeds z-scored raw taps to the classifier, for
+measuring what the reduction step contributes. A model is
 valid only on the network it was fitted on; it records that network's
 architecture and weight digests, and check_pair is the one check that a
 model and a network belong together.
@@ -139,10 +140,11 @@ def lhn_fit(
     Each pool layer's projection is fitted independently on that layer's
     taps and the one-hot labels; requested widths wider than a layer
     supports are clamped (with a warning) by the projection fit. Layers go
-    in order, and each layer's raw taps are released once they are
-    projected, so the fit holds the taps plus one standardized copy of the
-    tap being fitted. The dataset must have as many classes as the
-    network's softmax, so that check_pair accepts the model with it.
+    in order, each fit reads its layer's taps in place, and each layer's raw
+    taps are released once they are projected, so a reduced fit holds the
+    taps and no other array as large as one of them. The dataset must have
+    as many classes as the network's softmax, so that check_pair accepts
+    the model with it.
     """
     check_count(components, 1, "components")
     labels = dataset.labels()

@@ -12,11 +12,15 @@ Only C is deflated (Dayal & MacGregor 1997, as in de Jong's SIMPLS). The
 score of component a is t = Xd r with the rotation
 r = w - R_{<a} (P_{<a}^T w), which equals the deflated block times w; its
 loading p = Xd^T t / (t^T t) keeps successive scores orthogonal, and the
-update is C -= p (Yd^T t)^T. A component costs two matrix-vector products
-with Xd, which is never deflated. Xd is the fit's one standardized copy of
-X, built with one temporary (X - means, then divided in place), so a fit
-holds X and one more array of its size. The deflated block's Frobenius
-norm follows in closed form, ||X_{a+1}||^2 = ||X_a||^2 - (t^T t) ||p||^2.
+update is C -= p (Yd^T t)^T. A component costs two matrix-vector products,
+and Xd is never formed: with d = 1 / stds, Xd r = X (d r) - (means d) . r
+and Xd^T t = d (X^T t - means sum(t)), so both products read the caller's X
+in place and the fit holds no array as large as X. A clamped column's
+1 / epsilon would magnify its mean's rounding in those differences, so the
+clamped columns with a non-zero mean are centered explicitly instead; an
+all-zero column is exactly zero either way. The block's Frobenius norm is
+n sum((raw stds d)^2), and the deflated block's follows in closed form,
+||X_{a+1}||^2 = ||X_a||^2 - (t^T t) ||p||^2.
 Models project with the weights W, not the rotations R: in cross-validation
 on convnet1 taps, R lowered the mean LHN recall from 0.915 to 0.845.
 
@@ -40,6 +44,7 @@ MODEL_FORMAT = "pls-model"
 MODEL_VERSION = 1
 
 DEFAULT_EPSILON = 1e-8
+STD_BLOCK = 256  # columns whose deviations _column_moments holds at once
 
 
 def sealed(a: np.ndarray) -> np.ndarray:
@@ -131,21 +136,40 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def standardize_fit(X) -> Standardizer:
-    """Fit per-column mean and population standard deviation.
+def _column_moments(X) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and unclamped population standard deviation of a matrix of 2+ rows.
 
-    Columns with standard deviation below DEFAULT_EPSILON are clamped to it
-    so constant features map to zero instead of NaN.
+    X.std(axis=0) builds a deviation array as large as X. Taken a block of
+    at most STD_BLOCK columns at a time, each std holds one block's
+    deviations and has the same bits. No block is one column wide unless X
+    is: numpy sums a lone column pairwise, not row by row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"expected a matrix, got rank {X.ndim}")
-    if X.shape[0] < 2:
+    n, m = X.shape
+    if n < 2:
         raise InputError("standardization needs at least 2 rows")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
+    stds = np.empty(m)
+    edges = [0, *range(STD_BLOCK, m - 1, STD_BLOCK), m]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        stds[start:stop] = X[:, start:stop].std(axis=0)
+    return X.mean(axis=0), stds
+
+
+def _clamped_standardizer(means: np.ndarray, stds: np.ndarray) -> Standardizer:
+    """A Standardizer over fresh _column_moments, stds clamped up to DEFAULT_EPSILON."""
     stds = np.where(stds < DEFAULT_EPSILON, DEFAULT_EPSILON, stds)
     return Standardizer(means=sealed(means), stds=sealed(stds), epsilon=DEFAULT_EPSILON)
+
+
+def standardize_fit(X) -> Standardizer:
+    """Fit per-column mean and population standard deviation (_column_moments).
+
+    Columns with standard deviation below DEFAULT_EPSILON are clamped to it
+    so constant features map to zero instead of NaN.
+    """
+    return _clamped_standardizer(*_column_moments(X))
 
 
 def standardize_apply(s: Standardizer, X) -> np.ndarray:
@@ -191,8 +215,15 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         )
         components = limit
 
-    standardizer = standardize_fit(X)
-    Xd = standardize_apply(standardizer, X)
+    means, raw_stds = _column_moments(X)
+    standardizer = _clamped_standardizer(means, raw_stds)
+    d = 1.0 / standardizer.stds
+    norm_sq = n * float(np.sum(np.square(raw_stds * d)))  # ||Xd||^2
+    # Xd's clamped columns with a non-zero mean, centered explicitly; they
+    # take no part in the folded products (d = 0 there).
+    exact = np.flatnonzero((raw_stds < DEFAULT_EPSILON) & (means != 0.0))
+    Z = (X[:, exact] - means[exact]) * d[exact]
+    d[exact] = 0.0
     Yd = Y - Y.mean(axis=0)
 
     W = np.empty((m, components))
@@ -200,10 +231,9 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
     Q = np.empty((k, components))
     R = np.empty((m, components))  # rotations: t = Xd @ r
     P = np.empty((m, components))
-    x_norm = float(np.linalg.norm(Xd))
-    norm_sq = x_norm * x_norm
-    residual_norms = [x_norm]
-    C = Xd.T @ Yd
+    residual_norms = [float(np.sqrt(norm_sq))]
+    C = d[:, None] * (X.T @ Yd - np.outer(means, Yd.sum(axis=0)))  # Xd^T Yd
+    C[exact] = Z.T @ Yd
 
     for a in range(components):
         U, s, _ = np.linalg.svd(C, full_matrices=False)
@@ -219,7 +249,7 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         if lead < 0.0 or (lead == 0.0 and w[np.argmax(np.abs(w))] < 0.0):
             w = -w
         r = w - R[:, :a] @ (P[:, :a].T @ w)
-        t = Xd @ r
+        t = X @ (d * r) - (means * d) @ r + Z @ r[exact]  # Xd @ r
         # t is orthogonal to the earlier scores, so the undeflated Yd gives
         # the deflated block's cross-product with it.
         yt = Yd.T @ t
@@ -233,7 +263,8 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         tt = float(t @ t)
         if tt == 0.0:
             raise NumericError(f"component {a + 1}: zero score vector")
-        p = Xd.T @ t / tt
+        p = d * (X.T @ t - means * t.sum()) / tt  # Xd^T t / tt
+        p[exact] = Z.T @ t / tt
         C -= np.outer(p, yt)
 
         W[:, a] = w

@@ -261,8 +261,8 @@ class TestPresets:
 
     @pytest.mark.parametrize(
         "input_h, input_w",
-        [(64.5, 2), (64.0, 2), (64, 2.0), ("64", 2)],
-        ids=["h-fractional", "h-float", "w-float", "h-string"],
+        [(64.5, 2), (64.0, 2), (64, 2.0), ("64", 2), (64, True)],
+        ids=["h-fractional", "h-float", "w-float", "h-string", "w-bool"],
     )
     def test_input_extent_that_is_not_an_integer_cannot_be_built(self, input_h, input_w):
         message = f"convnet1: input is {input_h}x{input_w}, both extents must be integers"
@@ -761,7 +761,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "setting",
         [{"epochs": 0}, {"batch_size": 0}, {"batch_size": -4},
-         {"epochs": 2.5}, {"batch_size": 4.5}, {"batch_size": 32.0}, {"seed": 1.5}, {"seed": -1}],
+         {"epochs": 2.5}, {"batch_size": 4.5}, {"batch_size": 32.0}, {"seed": 1.5}, {"seed": -1},
+         {"epochs": True}],
     )
     def test_settings_training_cannot_run(self, setting):
         ds = self.small_dataset(n=8)

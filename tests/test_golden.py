@@ -174,14 +174,15 @@ def test_pls_model_class_count_must_match_the_head(tmp_path):
     [
         (["components"], 3.9, "components must be an integer >= 1, got 3.9"),
         (["components"], -3, "components must be an integer >= 1, got -3"),
+        (["components"], True, "components must be an integer >= 1, got True"),
         (["layer_components"], [3.5, 3.5], "layer_components must be an integer >= 1, got 3.5"),
         (["pls_models", 0, "n_classes"], 4.5,
          "pls_models[0]: n_classes must be an integer >= 1, got 4.5"),
         (["pls_models", 0, "n_features"], "21",
          "pls_models[0]: n_features must be an integer >= 1, got '21'"),
     ],
-    ids=["components-fractional", "components-negative", "layer-components-fractional",
-         "pls-classes-fractional", "pls-features-string"],
+    ids=["components-fractional", "components-negative", "components-bool",
+         "layer-components-fractional", "pls-classes-fractional", "pls-features-string"],
 )
 def test_count_field_that_is_not_an_integer_from_one_is_refused(tmp_path, keys, value, message):
     payload = golden_payload("reduced")

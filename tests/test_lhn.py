@@ -198,9 +198,8 @@ def wide_taps():
 
 
 def tap_bytes(ds, cfg):
-    """Bytes of all of a dataset's taps, and of its widest one."""
-    widths = cfg.tap_widths()
-    return 8 * len(ds) * sum(widths), 8 * len(ds) * max(widths)
+    """Bytes of all of a dataset's taps."""
+    return 8 * len(ds) * sum(cfg.tap_widths())
 
 
 def peak_after_collection(monkeypatch, run):
@@ -234,20 +233,20 @@ def peak_after_collection(monkeypatch, run):
 @pytest.mark.parametrize("reduce", [True, False])
 def test_fit_holds_one_standardized_copy_of_a_tap(wide_taps, monkeypatch, reduce):
     ds, cfg, params = wide_taps
-    taps, widest = tap_bytes(ds, cfg)
+    taps = tap_bytes(ds, cfg)
     peak = peak_after_collection(
         monkeypatch,
         lambda: lhn.lhn_fit(params, cfg, ds, 3, TrainingConfig(epochs=1), reduce=reduce),
     )
-    # Reduced, the fit holds the taps and the standardized copy of the widest.
-    # Unreduced, the latent matrix is as wide as all the taps, and concatenating
-    # it holds both.
-    assert peak <= 1.1 * (taps + (widest if reduce else taps))
+    # Reduced, each fit reads its tap in place, so the fit holds the taps and a
+    # few small arrays. Unreduced, the latent matrix is as wide as all the taps,
+    # and concatenating it holds both.
+    assert peak <= 1.1 * (taps if reduce else 2 * taps)
 
 
 def test_export_all_holds_the_combined_taps_and_one_standardized_copy(wide_taps, monkeypatch):
     ds, cfg, params = wide_taps
-    taps, _ = tap_bytes(ds, cfg)
+    taps = tap_bytes(ds, cfg)
     model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
     peak = peak_after_collection(
         monkeypatch, lambda: lhn.export_projection(model, params, cfg, ds, "all")

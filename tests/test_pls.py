@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,32 @@ class TestStandardizer:
         z = pls.standardize_apply(s, x)
         assert np.array_equal(x, kept)
         assert np.array_equal(z, (x - s.means) / s.stds)
+
+    @pytest.mark.parametrize("fit", ["standardize_fit", "nipals_fit", "nipals_fit_trace"])
+    def test_fit_reads_a_read_only_block_and_leaves_it_as_it_is(self, fit):
+        # no fit z-scores its block in place, so a caller's array (or a tap) stays as it was
+        rng = np.random.default_rng(9)
+        x = rng.normal(5.0, 2.0, size=(30, 12))
+        x[:, 3] = 2.5  # a clamped column with a non-zero mean, which the fit centers explicitly
+        x.flags.writeable = False
+        kept = x.tobytes()
+        y = pls.one_hot(rng.integers(0, 3, size=30), 3)
+        getattr(pls, fit)(*((x,) if fit == "standardize_fit" else (x, y, 4)))
+        assert x.tobytes() == kept
+
+    @pytest.mark.parametrize(
+        "width", [pls.STD_BLOCK + 1, 2 * pls.STD_BLOCK + 2, 3 * pls.STD_BLOCK]
+    )
+    def test_stds_are_the_clamped_whole_block_std_bit_for_bit(self, width):
+        # taken STD_BLOCK columns at a time; width STD_BLOCK + 1 would leave a
+        # lone last column, which numpy sums in another order
+        rng = np.random.default_rng(16)
+        x = rng.normal(3.0, 2.0, size=(40, width)) * rng.uniform(0.1, 100.0, size=width)
+        x[:, :2] = [0.0, 7.3]  # clamped
+        s = pls.standardize_fit(x)
+        stds = x.std(axis=0)
+        assert np.array_equal(s.means, x.mean(axis=0))
+        assert np.array_equal(s.stds, np.where(stds < pls.DEFAULT_EPSILON, pls.DEFAULT_EPSILON, stds))
 
     def test_arrays_are_read_only_copies(self):
         means = np.zeros(3)
@@ -254,15 +281,41 @@ class TestNipals:
         weights, _ = nipals_oracle(x, y, 10)
         assert np.abs(model.weights - weights).max() <= 1e-8
 
-    def test_wide_block_matches_deflating_nipals(self):
+    @pytest.mark.parametrize("tap_like", [False, True], ids=["normal", "tap-like"])
+    def test_wide_block_matches_deflating_nipals(self, tap_like):
         # shaped like a pool tap: more features than windows
         rng = np.random.default_rng(13)
         x = rng.normal(size=(40, 300))
+        if tap_like:
+            # an offset of 100 spreads, as post-ReLU pool taps have one, and two
+            # clamped columns: one all zero, one constant and non-zero, whose
+            # folded products would cancel
+            x += 100.0
+            x[:, :2] = [0.0, 7.3]
         y = pls.one_hot(rng.integers(0, 6, size=40), 6)
         model, trace = pls.nipals_fit_trace(x, y, 19)
         weights, norms = nipals_oracle(x, y, 19)
         assert np.abs(model.weights - weights).max() <= 1e-8
         np.testing.assert_allclose(trace.x_residual_norms, norms, rtol=1e-9, atol=0.0)
+
+    def test_fit_holds_no_array_a_quarter_as_large_as_its_block(self):
+        # the fit reads X in place: no standardized copy, no deviation array
+        rng = np.random.default_rng(15)
+        x = rng.normal(2.0, 3.0, size=(200, 2048))
+        y = pls.one_hot(rng.integers(0, 4, size=200), 4)
+        pls.nipals_fit(x, y, 5)  # once untraced, so lazy imports are not counted
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            pls.nipals_fit(x, y, 5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < x.nbytes / 4
 
     def test_residual_norm_at_component_limit(self):
         # n - 1 components exhaust a centered n-row block; the closed-form
