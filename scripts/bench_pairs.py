@@ -137,15 +137,15 @@ def environment(dirs: dict) -> dict:
 
 
 def print_table(result: dict) -> None:
-    """One workload's summary as a table of medians, quartiles, wins and verdicts."""
+    """One workload's summary as a table of medians, quartiles, wins and every verdict that holds."""
     first, last = result["first_seed"], result["first_seed"] + result["pairs"] - 1
     print(f"# workload {result['workload']}, {result['pairs']} pairs, "
           f"{result['seconds']:g} s per run, seeds {first}-{last}")
     print(f"# {'metric':24s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  wins  verdict")
     for name, s in result["metrics"].items():
         cells = [f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]" for q in (s["parent"], s["change"])]
-        verdict = ("gain" if s["gain"] else "worse beyond bound" if s["worse_beyond_bound"]
-                   else "unresolved" if s["unresolved"] else "-")
+        flags = ("gain", "worse_beyond_bound", "unresolved")
+        verdict = "; ".join(f.replace("_", " ") for f in flags if s[f]) or "-"
         print(f"  {name:24s} {cells[0]:>30s} {cells[1]:>30s} {s['wins']:>2d}/{s['pairs']:<3d} {verdict}")
     print(f"# correct on every run: {result['correct']}")
 

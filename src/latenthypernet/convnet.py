@@ -240,11 +240,12 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
 
     The one accepted order is k stages of (conv, maxpool), k >= 0, then
     flatten, dense, softmax; every maxpool is 2x1. The input extents, each
-    conv's filters and kernel extents, and the dense units must be integers
-    (is_integer: a float such as 64.0 would give the same shapes but another
-    config_digest) of at least 1, and no map may shrink below 1x1. Shapes are
-    (maps, h, w) through the stages, then (units,); a NetworkConfig keeps it
-    as `shapes`.
+    conv's filters and kernel extents, and the dense units are counts under
+    ingest.check_count, integers of at least 1 (a float such as 64.0 would
+    give the same shapes but another config_digest); a refusal names the
+    layer, as in "bad: layer 1 (conv): filters must be an integer >= 1, got
+    2.5". No map may shrink below 1x1. Shapes are (maps, h, w) through the
+    stages, then (units,); a NetworkConfig keeps it as `shapes`.
     """
     kinds = tuple(spec.kind for spec in config.layers)
     expected = ("conv", "maxpool") * kinds.count("conv") + ("flatten", "dense", "softmax")
@@ -255,34 +256,17 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
                 f"expected {want or 'no further layer'}: a network is (conv, maxpool) * k, "
                 f"then flatten, dense, softmax"
             )
-    if not (is_integer(config.input_h) and is_integer(config.input_w)):
-        raise ArchitectureError(
-            f"{config.name}: input is {config.input_h}x{config.input_w}, "
-            f"both extents must be integers"
-        )
-    if config.input_h < 1 or config.input_w < 1:
-        raise ArchitectureError(
-            f"{config.name}: input is {config.input_h}x{config.input_w}, both extents must be >= 1"
-        )
+    _check_extents(f"{config.name}: input", config, ("input_h", "input_w"))
     shapes: list[tuple[int, ...]] = []
     maps, h, w = 1, config.input_h, config.input_w
     for i in range(0, len(config.layers) - 3, 2):
         spec, pool = config.layers[i], config.layers[i + 1]
-        if not all(map(is_integer, (spec.filters, spec.kernel_h, spec.kernel_w))):
-            raise ArchitectureError(
-                f"{config.name}: layer {i + 1} (conv) needs integer filters and kernel "
-                f"extents, got {spec.filters} filters of {spec.kernel_h}x{spec.kernel_w}"
-            )
-        if min(spec.filters, spec.kernel_h, spec.kernel_w) < 1:
-            raise ArchitectureError(
-                f"{config.name}: layer {i + 1} (conv) needs at least 1 filter and a kernel "
-                f"of at least 1x1, got {spec.filters} filters of {spec.kernel_h}x{spec.kernel_w}"
-            )
+        where = f"{config.name}: layer {i + 1} (conv)"
+        _check_extents(where, spec, ("filters", "kernel_h", "kernel_w"))
         h, w, maps = h - spec.kernel_h + 1, w - spec.kernel_w + 1, spec.filters
         if h < 1 or w < 1:
             raise ArchitectureError(
-                f"{config.name}: layer {i + 1} (conv) with kernel "
-                f"{spec.kernel_h}x{spec.kernel_w} would produce a {h}x{w} map"
+                f"{where} with kernel {spec.kernel_h}x{spec.kernel_w} would produce a {h}x{w} map"
             )
         shapes.append((maps, h, w))
         where = f"{config.name}: layer {i + 2} (maxpool)"
@@ -295,13 +279,18 @@ def propagate_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
         if h < 1:
             raise ArchitectureError(f"{where} would produce a {h}-row map")
         shapes.append((maps, h, w))
-    units = config.layers[-2].units
-    if not is_integer(units) or units < 1:
-        raise ArchitectureError(
-            f"{config.name}: layer {len(config.layers) - 1} (dense) needs an integer count "
-            f"of at least 1 unit, got {units}"
-        )
-    return shapes + [(maps * h * w,), (units,), (units,)]
+    head = config.layers[-2]
+    _check_extents(f"{config.name}: layer {len(config.layers) - 1} (dense)", head, ("units",))
+    return shapes + [(maps * h * w,), (head.units,), (head.units,)]
+
+
+def _check_extents(where: str, obj, names) -> None:
+    """ArchitectureError at `where` unless each named field of obj is a check_count integer >= 1."""
+    try:
+        for name in names:
+            check_count(getattr(obj, name), 1, name)
+    except ParameterError as exc:
+        raise ArchitectureError(f"{where}: {exc}") from None
 
 
 def _param_shapes(config: NetworkConfig):

@@ -5,12 +5,13 @@ LHN file nests per pool layer) is one JSON object ``{format, version,
 **fields}``. write_model writes it atomically; read_model parses it and
 checks its format marker and version, and check_header does the same for a
 payload that is already parsed. Inside ``with decoding(source):`` a
-KeyError, TypeError, ValueError or ParameterError from a missing, mistyped
-or refused field becomes a FormatError naming the file. shaped_entry writes
-an array as a ``{shape, data}`` entry; float_array and shaped_array decode
-stored arrays: the caller passes the shape the file's own header implies,
-and the array must have that shape and hold only finite values. So a model
-file is rejected when it is loaded, not when predict trips over it.
+KeyError, TypeError, ValueError, OverflowError or ParameterError from a
+missing, mistyped or refused field becomes a FormatError naming the file.
+shaped_entry writes an array as a ``{shape, data}`` entry; float_array and
+shaped_array decode stored arrays: the caller passes the shape the file's
+own header implies, and the array must have that shape and hold only finite
+JSON numbers. So a model file is rejected when it is loaded, not when
+predict trips over it.
 """
 from __future__ import annotations
 
@@ -93,15 +94,21 @@ def decoding(source):
     """Report a missing, mistyped or refused field as a FormatError naming source."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int too big for a float
         raise FormatError(f"{source}: malformed field: {exc}") from None
     except ParameterError as exc:  # the message names the field
         raise FormatError(f"{source}: {exc}") from None
 
 
 def float_array(values, shape: tuple[int, ...], name: str, source) -> np.ndarray:
-    """A stored flat list as a finite float64 array of `shape`, row-major."""
+    """A stored flat list of JSON numbers as a finite float64 array of `shape`, row-major.
+
+    A bool or a string is refused, where numpy would read true as 1.0 and "1e3" as 1000.0.
+    """
     with decoding(f"{source}: {name}"):
+        if not set(map(type, values)) <= {int, float}:
+            bad = next(v for v in values if type(v) not in (int, float))
+            raise FormatError(f"{source}: {name} holds {bad!r:.40}, which is not a JSON number")
         arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size != math.prod(shape):
         raise FormatError(

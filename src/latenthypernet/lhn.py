@@ -50,11 +50,12 @@ class LhnModel:
     pls_models is empty when the model was fitted with reduce=False; the
     tap_standardizers then z-score the raw taps instead.
 
-    Checked and folded once, when built, as PlsModel folds its standardizer: the
-    logits of a window's taps are ``head_bias + sum_i tap_i @ head_weights[i]``,
-    which equals classifying its latent vector. A field cannot be reassigned
-    and every array is read-only (pls.read_only); dataclasses.replace builds
-    a changed copy, checked and folded anew.
+    Checked and folded once, when built; an unreduced layer's standardizer
+    folds by Standardizer.fold, as a PlsModel's does. The logits of a window's
+    taps are ``head_bias + sum_i tap_i @ head_weights[i]``, which equals
+    classifying its latent vector. A field cannot be reassigned and every
+    array is read-only (pls.read_only); dataclasses.replace builds a changed
+    copy, checked and folded anew.
     """
 
     pls_models: list[pls.PlsModel]
@@ -88,9 +89,7 @@ class LhnModel:
             head = [m.scaled_weights @ w for m, w in zip(self.pls_models, blocks)]
             shifts = [m.offset @ w for m, w in zip(self.pls_models, blocks)]
         else:
-            pairs = list(zip(self.tap_standardizers, blocks))
-            head = [w / s.stds[:, None] for s, w in pairs]
-            shifts = [-(s.means / s.stds) @ w for s, w in pairs]
+            head, shifts = zip(*(s.fold(w) for s, w in zip(self.tap_standardizers, blocks)))
         object.__setattr__(self, "head_weights", [pls.sealed(h) for h in head])
         object.__setattr__(self, "head_bias", pls.sealed(self.classifier_bias + sum(shifts)))
 
@@ -162,10 +161,11 @@ def lhn_fit(
     models, standardizers, parts = [], [], []
     for i in range(len(taps)):  # in layer order: layer i's fit is the i-th nipals_fit
         if reduce:
-            models.append(layer_map := pls.nipals_fit(taps[i], indicators, components))
+            models.append(model := pls.nipals_fit(taps[i], indicators, components))
+            parts.append(pls.pls_transform(model, taps[i]))
         else:
-            standardizers.append(layer_map := pls.standardize_fit(taps[i]))
-        parts.append(_project(layer_map, taps[i]))
+            standardizers.append(s := pls.standardize_fit(taps[i]))
+            parts.append(pls.standardize_apply(s, taps[i]))
         taps[i] = None  # released once projected
     latent = np.concatenate(parts, axis=1)
     del parts  # unreduced, these are as wide as the taps; the head trains on latent alone
@@ -221,24 +221,15 @@ def check_pair(model: LhnModel, params: NetworkParams, config: NetworkConfig, so
             )
 
 
-def _project(layer_map, tap: np.ndarray) -> np.ndarray:
-    """A tap through its layer's PlsModel, or its Standardizer when unreduced.
-
-    The fit and every projection of a fitted model go through here.
-    """
-    if isinstance(layer_map, pls.PlsModel):
-        return pls.pls_transform(layer_map, tap)
-    return pls.standardize_apply(layer_map, tap)
-
-
 def _latent(pls_models, tap_standardizers, taps: list[np.ndarray]) -> np.ndarray:
-    """Each tap through its layer's map, concatenated in layer order."""
+    """Each tap through its layer's PlsModel (or Standardizer, unreduced), in layer order."""
     maps = pls_models or tap_standardizers
     if len(taps) != len(maps):
         raise ShapeError(
             f"network exposes {len(taps)} pool layers, model was fitted on {len(maps)}"
         )
-    return np.concatenate([_project(m, t) for m, t in zip(maps, taps)], axis=1)
+    project = pls.pls_transform if pls_models else pls.standardize_apply
+    return np.concatenate([project(m, t) for m, t in zip(maps, taps)], axis=1)
 
 
 def lhn_transform(

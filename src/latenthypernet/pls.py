@@ -24,10 +24,11 @@ n sum((raw stds d)^2), and the deflated block's follows in closed form,
 Models project with the weights W, not the rotations R: in cross-validation
 on convnet1 taps, R lowered the mean LHN recall from 0.915 to 0.845.
 
-A fitted model folds its standardizer into the map when it is built, so a
-projection is one matrix product plus an offset, whether the model was just
-fitted or loaded from its payload. A model's and a standardizer's arrays are
-read-only and shared with no writable array, so a built model cannot change.
+A fitted model folds its standardizer into the map when it is built
+(Standardizer.fold, the one z-score fold), so a projection is one matrix
+product plus an offset, whether the model was just fitted or loaded from its
+payload. A model's and a standardizer's arrays are read-only and shared
+with no writable array, so a built model cannot change.
 """
 from __future__ import annotations
 
@@ -80,6 +81,11 @@ class Standardizer:
         object.__setattr__(self, "means", read_only(self.means))
         object.__setattr__(self, "stds", read_only(self.stds))
 
+    def fold(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """This z-score folded into the map behind it, as (scaled weights, offset):
+        X @ scaled + offset is standardize_apply(self, X) @ weights up to rounding."""
+        return weights / self.stds[:, None], -(self.means / self.stds) @ weights
+
 
 @dataclass(frozen=True)
 class PlsModel:
@@ -94,14 +100,14 @@ class PlsModel:
     weights: np.ndarray  # [n_features, components]
     x_standardizer: Standardizer
     n_classes: int
-    scaled_weights: np.ndarray = field(init=False, repr=False)  # weights / stds, per row
-    offset: np.ndarray = field(init=False, repr=False)  # -(means / stds) @ weights
+    scaled_weights: np.ndarray = field(init=False, repr=False)  # x_standardizer.fold(weights)
+    offset: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = self.x_standardizer
         object.__setattr__(self, "weights", read_only(self.weights))
-        object.__setattr__(self, "scaled_weights", sealed(self.weights / s.stds[:, None]))
-        object.__setattr__(self, "offset", sealed(-(s.means / s.stds) @ self.weights))
+        scaled, offset = self.x_standardizer.fold(self.weights)
+        object.__setattr__(self, "scaled_weights", sealed(scaled))
+        object.__setattr__(self, "offset", sealed(offset))
 
     @property
     def n_features(self) -> int:
@@ -137,12 +143,13 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
 
 
 def _column_moments(X) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and unclamped population standard deviation of a matrix of 2+ rows.
+    """Per-column mean and unclamped population std of a finite matrix of 2+ rows.
 
     X.std(axis=0) builds a deviation array as large as X. Taken a block of
     at most STD_BLOCK columns at a time, each std holds one block's
-    deviations and has the same bits. No block is one column wide unless X
-    is: numpy sums a lone column pairwise, not row by row.
+    deviations and has the same bits, and each block is checked finite as
+    its std is taken, so no n x m mask is built either. No block is one
+    column wide unless X is: numpy sums a lone column pairwise, not row by row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -153,7 +160,10 @@ def _column_moments(X) -> tuple[np.ndarray, np.ndarray]:
     stds = np.empty(m)
     edges = [0, *range(STD_BLOCK, m - 1, STD_BLOCK), m]
     for start, stop in zip(edges[:-1], edges[1:]):
-        stds[start:stop] = X[:, start:stop].std(axis=0)
+        block = X[:, start:stop]
+        if not np.isfinite(block).all():
+            raise NumericError(f"X must be finite: columns {start}-{stop - 1} hold a nan or inf")
+        stds[start:stop] = block.std(axis=0)
     return X.mean(axis=0), stds
 
 
@@ -166,8 +176,9 @@ def _clamped_standardizer(means: np.ndarray, stds: np.ndarray) -> Standardizer:
 def standardize_fit(X) -> Standardizer:
     """Fit per-column mean and population standard deviation (_column_moments).
 
-    Columns with standard deviation below DEFAULT_EPSILON are clamped to it
-    so constant features map to zero instead of NaN.
+    A non-finite X raises NumericError. Columns with standard deviation
+    below DEFAULT_EPSILON are clamped to it so constant features map to zero
+    instead of NaN.
     """
     return _clamped_standardizer(*_column_moments(X))
 
@@ -200,8 +211,8 @@ def nipals_fit_trace(X, Y, components: int) -> tuple[PlsModel, NipalsTrace]:
         raise ShapeError("X and Y must be matrices")
     if X.shape[0] != Y.shape[0]:
         raise ShapeError(f"row counts disagree: X has {X.shape[0]}, Y has {Y.shape[0]}")
-    if not np.isfinite(X).all() or not np.isfinite(Y).all():
-        raise NumericError("X and Y must be finite")
+    if not np.isfinite(Y).all():  # X is checked by _column_moments, a block at a time
+        raise NumericError("Y must be finite")
     check_count(components, 1, "components")
 
     n, m = X.shape
@@ -319,15 +330,13 @@ def standardizer_payload(s: Standardizer) -> dict:
 
 
 def standardizer_from_payload(entry: dict, width: int, source) -> Standardizer:
-    """Decode stored means, stds and epsilon: `width` finite values each, stds > 0."""
+    """Decode stored means, stds (`width` each) and epsilon: finite JSON numbers, stds > 0."""
     with fileio.decoding(source):
         means = fileio.float_array(entry["means"], (width,), "means", source)
         stds = fileio.float_array(entry["stds"], (width,), "stds", source)
-        epsilon = float(entry["epsilon"])
+        [epsilon] = fileio.float_array([entry["epsilon"]], (1,), "epsilon", source).tolist()
     if not (stds > 0.0).all():
         raise FormatError(f"{source}: stds holds a value <= 0")
-    if not np.isfinite(epsilon):
-        raise FormatError(f"{source}: epsilon is not finite")
     return Standardizer(means=means, stds=stds, epsilon=epsilon)
 
 

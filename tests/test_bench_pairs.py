@@ -65,6 +65,18 @@ def test_wide_spread_is_unresolved(capsys):
     assert row.endswith(" unresolved")
 
 
+def test_table_prints_every_verdict_that_holds(capsys):
+    # cv setup_s in BENCH_30.json: the medians land in different modes of a spread
+    # wider than the bound, so the metric is both worse beyond its bound and unresolved
+    record = json.loads((SCRIPT.parents[1] / "BENCH_30.json").read_text(encoding="utf-8"))
+    (cv,) = [s for s in record["summaries"] if s["workload"] == "cv"]
+    s = cv["metrics"]["setup_s"]
+    assert s["worse_beyond_bound"] and s["unresolved"]
+    bench_pairs.print_table(cv)
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if "setup_s" in line]
+    assert row.endswith(" 3/10  worse beyond bound; unresolved")
+
+
 def test_wide_spread_the_change_wins_every_pair_of_is_resolved():
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
     change = [p - 1.5 for p in parent]  # no gain: the gap is inside the spread

@@ -139,7 +139,7 @@ def batch_gradients(params, x, labels):
 
 
 DENSE_HEAD = (convnet.flatten(), convnet.dense(3), convnet.softmax())
-NEEDS_EXTENTS = "needs at least 1 filter and a kernel of at least 1x1"
+CONV_COUNT = "bad: layer 1 (conv): {} must be an integer >= 1, got {}"
 
 
 class TestPresets:
@@ -216,25 +216,23 @@ class TestPresets:
             ),
             (  # would build a 13-row map
                 (convnet.conv(4, 0, 1), convnet.maxpool(), *DENSE_HEAD),
-                f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 4 filters of 0x1",
+                CONV_COUNT.format("kernel_h", 0),
             ),
             (  # would build 0 maps
                 (convnet.conv(0, 3, 1), convnet.maxpool(), *DENSE_HEAD),
-                f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 0 filters of 3x1",
+                CONV_COUNT.format("filters", 0),
             ),
             (  # would build a 4-column map
                 (convnet.conv(2, 3, -1), convnet.maxpool(), *DENSE_HEAD),
-                f"bad: layer 1 (conv) {NEEDS_EXTENTS}, got 2 filters of 3x-1",
+                CONV_COUNT.format("kernel_w", -1),
             ),
             (  # would build a 2.5-map stage
                 (convnet.conv(2.5, 3, 1), convnet.maxpool(), *DENSE_HEAD),
-                "bad: layer 1 (conv) needs integer filters and kernel extents, "
-                "got 2.5 filters of 3x1",
+                CONV_COUNT.format("filters", 2.5),
             ),
             (  # the same shapes as a 3-row kernel, but another config_digest
                 (convnet.conv(2, 3.0, 1), convnet.maxpool(), *DENSE_HEAD),
-                "bad: layer 1 (conv) needs integer filters and kernel extents, "
-                "got 2 filters of 3.0x1",
+                CONV_COUNT.format("kernel_h", 3.0),
             ),
             (  # would build 10 maps of 2.5 rows
                 (convnet.conv(2, 3, 1), convnet.LayerSpec("maxpool", pool_h=2.0), *DENSE_HEAD),
@@ -242,7 +240,7 @@ class TestPresets:
             ),
             (  # would classify 2.5 classes
                 (convnet.flatten(), convnet.dense(2.5), convnet.softmax()),
-                "bad: layer 2 (dense) needs an integer count of at least 1 unit, got 2.5",
+                "bad: layer 2 (dense): units must be an integer >= 1, got 2.5",
             ),
         ],
         ids=["pool-3x1", "second-dense", "kernel-h-0", "filters-0", "kernel-w-negative",
@@ -255,7 +253,8 @@ class TestPresets:
 
     @pytest.mark.parametrize("input_h, input_w", [(64, 0), (0, 2), (-1, 2)])
     def test_input_extent_below_one_cannot_be_built(self, input_h, input_w):
-        message = f"convnet1: input is {input_h}x{input_w}, both extents must be >= 1"
+        name, value = ("input_h", input_h) if input_h < 1 else ("input_w", input_w)
+        message = f"convnet1: input: {name} must be an integer >= 1, got {value!r}"
         with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
             convnet.preset("convnet1", input_h, input_w, 4)
 
@@ -265,9 +264,19 @@ class TestPresets:
         ids=["h-fractional", "h-float", "w-float", "h-string", "w-bool"],
     )
     def test_input_extent_that_is_not_an_integer_cannot_be_built(self, input_h, input_w):
-        message = f"convnet1: input is {input_h}x{input_w}, both extents must be integers"
+        name, value = ("input_w", input_w) if type(input_h) is int else ("input_h", input_h)
+        message = f"convnet1: input: {name} must be an integer >= 1, got {value!r}"
         with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
             convnet.preset("convnet1", input_h, input_w, 4)
+
+    def test_a_layer_extent_and_a_training_setting_read_one_count_rule(self):
+        with pytest.raises(ParameterError) as setting:
+            TrainingConfig(epochs=2.5)
+        layers = (convnet.flatten(), convnet.dense(2.5), convnet.softmax())
+        with pytest.raises(ArchitectureError) as layer:
+            convnet.NetworkConfig("bad", layers, 12, 2)
+        assert str(setting.value) == "epochs must be an integer >= 1, got 2.5"
+        assert str(layer.value) == "bad: layer 2 (dense): units must be an integer >= 1, got 2.5"
 
     def test_numpy_integer_extents_build(self):
         cfg = convnet.preset("convnet1", np.int64(64), np.int32(2), np.int64(4))
@@ -822,6 +831,26 @@ class TestPersistence:
         with pytest.raises(FormatError, match="dense_bias"):
             convnet.load_params(path)
 
+    @pytest.mark.parametrize(
+        "entry, value, name",
+        [(("dense_bias", 0), True, "dense_bias"),
+         (("conv_biases", 1, 2), "0.5", "conv_biases[1]"),
+         (("dense_weights", "data", 7), False, "dense_weights"),
+         (("conv_kernels", 0, "data", 3), "1e3", "conv_kernels[0]"),
+         (("dense_bias", 1), 10**400, "dense_bias")],  # an int no float can hold
+        ids=["bool", "string", "bool-in-shaped", "string-in-shaped", "huge-int"],
+    )
+    def test_weight_that_is_not_a_json_number_rejected(self, tmp_path, entry, value, name):
+        # numpy would read true as 1.0 and "1e3" as 1000.0
+        path, payload = self.saved_payload(tmp_path)
+        where = payload
+        for key in entry[:-1]:
+            where = where[key]
+        where[entry[-1]] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"json: {re.escape(name)}"):
+            convnet.load_params(path)
+
     def test_unsupported_pool_spec_rejected(self, tmp_path):
         path, payload = self.saved_payload(tmp_path)
         payload["config"]["layers"][1]["pool_w"] = 2
@@ -847,13 +876,16 @@ class TestPersistence:
         payload["conv_kernels"][0] = {"shape": [24, 1, 0, 2], "data": []}
         payload["dense_weights"] = {"shape": [192, 4], "data": [0.0] * 192 * 4}
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(FormatError, match=r": config: .*layer 1 \(conv\).*of 0x2"):
+        message = "layer 1 (conv): kernel_h must be an integer >= 1, got 0"
+        with pytest.raises(FormatError, match=f": config: .*{re.escape(message)}$"):
             convnet.load_params(path)
 
     @pytest.mark.parametrize(
         "entry, value, shown",
-        [("input_h", 48.9, "input is 48.9x2"), ("input_h", 48.0, "input is 48.0x2"),
-         ("input_w", "2", "input is 48x2"), ("filters", 24.5, "got 24.5 filters of 12x2")],
+        [("input_h", 48.9, "input: input_h must be an integer >= 1, got 48.9"),
+         ("input_h", 48.0, "input: input_h must be an integer >= 1, got 48.0"),
+         ("input_w", "2", "input: input_w must be an integer >= 1, got '2'"),
+         ("filters", 24.5, "layer 1 (conv): filters must be an integer >= 1, got 24.5")],
     )
     def test_extent_that_is_not_an_integer_rejected_at_load(self, tmp_path, entry, value, shown):
         # such a file used to load truncated by int(), or build a fractional network

@@ -54,6 +54,15 @@ TAMPERINGS = {
     "inf-classifier-bias": (True, ("classifier_bias", 1), INF, ": classifier_bias"),
     "zero-tap-std": (False, ("tap_standardizers", 1, "stds", 0), 0.0, r"tap_standardizers\[1\]: stds"),
     "nan-tap-mean": (False, ("tap_standardizers", 1, "means", 0), NAN, r"tap_standardizers\[1\]: means"),
+    # a value that is not a JSON number: numpy would read true as 1.0 and "1e3" as 1000.0
+    "bool-pls-weight": (True, ("pls_models", 1, "weights", 0), True, r"pls_models\[1\]: weights"),
+    "string-pls-std": (True, ("pls_models", 0, "stds", 1), "1e3", r"pls_models\[0\]: stds"),
+    "bool-pls-epsilon": (True, ("pls_models", 1, "epsilon"), True, r"pls_models\[1\]: epsilon"),
+    "string-classifier-weight": (True, ("classifier_weights", "data", 3), "0.5", ": classifier_weights"),
+    "bool-classifier-bias": (True, ("classifier_bias", 0), False, ": classifier_bias"),
+    "bool-tap-mean": (False, ("tap_standardizers", 0, "means", 2), True, r"standardizers\[0\]: means"),
+    "string-tap-epsilon":
+        (False, ("tap_standardizers", 1, "epsilon"), "1e-8", r"standardizers\[1\]: epsilon"),
 }
 
 

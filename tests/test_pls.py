@@ -140,6 +140,11 @@ class TestStandardizer:
         stds = x.std(axis=0)
         assert np.array_equal(s.means, x.mean(axis=0))
         assert np.array_equal(s.stds, np.where(stds < pls.DEFAULT_EPSILON, pls.DEFAULT_EPSILON, stds))
+        # each block is checked finite as its std is taken, the last one too
+        x[5, -1] = np.inf
+        last = max(range(0, width - 1, pls.STD_BLOCK))  # the last block's first column
+        with pytest.raises(NumericError, match=f"^X must be finite: columns {last}-{width - 1} "):
+            pls.standardize_fit(x)
 
     def test_arrays_are_read_only_copies(self):
         means = np.zeros(3)
@@ -157,6 +162,15 @@ class TestStandardizer:
         s = pls.Standardizer(means=np.zeros(3), stds=view)
         stds[0] = 2.0
         assert s.stds[0] == 1.0
+
+    def test_fold_is_standardize_then_multiply(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(4.0, 3.0, size=(30, 9)) * rng.uniform(0.01, 50.0, size=9)
+        s = pls.standardize_fit(x)
+        w = rng.normal(size=(9, 4))
+        scaled, offset = s.fold(w)
+        expected = pls.standardize_apply(s, x) @ w
+        assert np.abs(x @ scaled + offset - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_round_trip(self):
         x = np.random.default_rng(6).normal(size=(12, 5))
@@ -298,11 +312,12 @@ class TestNipals:
         assert np.abs(model.weights - weights).max() <= 1e-8
         np.testing.assert_allclose(trace.x_residual_norms, norms, rtol=1e-9, atol=0.0)
 
-    def test_fit_holds_no_array_a_quarter_as_large_as_its_block(self):
-        # the fit reads X in place: no standardized copy, no deviation array
-        rng = np.random.default_rng(15)
-        x = rng.normal(2.0, 3.0, size=(200, 2048))
-        y = pls.one_hot(rng.integers(0, 4, size=200), 4)
+    @staticmethod
+    def fit_peak(n, m, seed):
+        """nipals_fit's tracemalloc peak, in bytes above what it started with, on an n x m block."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(2.0, 3.0, size=(n, m))
+        y = pls.one_hot(rng.integers(0, 4, size=n), 4)
         pls.nipals_fit(x, y, 5)  # once untraced, so lazy imports are not counted
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -311,11 +326,20 @@ class TestNipals:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             pls.nipals_fit(x, y, 5)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            return tracemalloc.get_traced_memory()[1] - start
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < x.nbytes / 4
+
+    def test_fit_holds_no_array_a_quarter_as_large_as_its_block(self):
+        # the fit reads X in place: no standardized copy, no deviation array
+        assert self.fit_peak(200, 2048, 15) < 200 * 2048 * 8 / 4
+
+    def test_fit_builds_no_mask_as_large_as_its_block(self):
+        # the finite check goes a column block at a time, so no n x m bool array
+        # (n * m bytes) is built; the largest temporary is one block's deviations
+        n, m = 800, 4096
+        assert self.fit_peak(n, m, 17) < 0.75 * n * m
 
     def test_residual_norm_at_component_limit(self):
         # n - 1 components exhaust a centered n-row block; the closed-form
@@ -356,6 +380,10 @@ class TestNipals:
         bad[0, 0] = np.nan
         with pytest.raises(NumericError):
             pls.nipals_fit(bad, y, 1)
+        bad = y.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(NumericError, match="^Y must be finite$"):
+            pls.nipals_fit(x, bad, 1)
 
     def test_transform_shape_error(self):
         rng = np.random.default_rng(12)
@@ -391,6 +419,30 @@ class TestPersistence:
 
     def round_trip(self, payload):
         return pls.model_from_payload(json.loads(json.dumps(payload)))
+
+    def test_folded_map_is_the_standardizer_fold(self):
+        model = self.make_model()
+        scaled, offset = model.x_standardizer.fold(model.weights)
+        assert np.array_equal(model.scaled_weights, scaled)
+        assert np.array_equal(model.offset, offset)
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("weights", 3, True), ("weights", 0, "0.5"), ("means", 1, False), ("stds", 2, "1e3"),
+         ("stds", 0, None), ("means", 0, 10**400), ("epsilon", None, True),
+         ("epsilon", None, "1e-8")],
+        ids=["bool-weight", "string-weight", "bool-mean", "string-std", "null-std", "huge-int-mean",
+             "bool-epsilon", "string-epsilon"],
+    )
+    def test_value_that_is_not_a_json_number_rejected(self, field, index, value):
+        # numpy would read true as 1.0 and "1e3" as 1000.0
+        payload = pls.model_payload(self.make_model())
+        if index is None:
+            payload[field] = value
+        else:
+            payload[field][index] = value
+        with pytest.raises(FormatError, match=f"<payload>: {field}"):
+            self.round_trip(payload)
 
     def test_round_trip_bit_exact(self):
         model = self.make_model()
