@@ -3,7 +3,9 @@
 Recall is macro-averaged: the unweighted mean of per-class true-positive
 rates, so rare classes count as much as common ones. The timing harness
 reports per-system means with 95% confidence intervals and decides
-equivalence with a pooled equal-variance two-sample t-test.
+equivalence with a pooled equal-variance two-sample t-test. Its Student-t
+quantiles are exact for whole degrees of freedom: they invert the finite
+trigonometric sums of the t distribution (Abramowitz & Stegun 26.7.3-4).
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from . import convnet, lhn
 from .convnet import NetworkConfig, TrainingConfig
@@ -151,11 +152,40 @@ def run_cv(
 # ---------------------------------------------------------------------------
 
 
-def student_t_critical(dof: float, alpha: float = ALPHA) -> float:
-    """Two-sided critical value of Student's t; dof may be fractional."""
-    if dof < 1:
-        raise ParameterError("degrees of freedom must be >= 1")
-    return float(stats.t.ppf(1.0 - alpha / 2.0, dof))
+def _t_central_mass(theta: float, dof: int) -> float:
+    """P(|T| <= sqrt(dof) tan(theta)) for Student's t with whole dof (A&S 26.7.3-4)."""
+    sin, cos = math.sin(theta), math.cos(theta)
+    cos2 = cos * cos
+    term = total = 1.0
+    for j in range(1 + dof % 2, dof - 1, 2):  # term ratios 1/2, 3/4, ... (even dof), 2/3, 4/5, ... (odd)
+        term *= cos2 * j / (j + 1)
+        total += term
+    if dof % 2 == 0:
+        return sin * total
+    if dof == 1:
+        return 2.0 * theta / math.pi
+    return 2.0 / math.pi * (theta + sin * cos * total)
+
+
+def student_t_critical(dof: int, alpha: float = ALPHA) -> float:
+    """Two-sided critical value of Student's t for whole degrees of freedom.
+
+    Bisects theta = atan(t / sqrt(dof)) on (0, pi/2) until the midpoint stops
+    moving, so the value is exact to rounding.
+    """
+    dof = check_count(dof, 1, "degrees of freedom")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha!r}")
+    target = 1.0 - alpha
+    lo, hi = 0.0, math.pi / 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.sqrt(dof) * math.tan(mid)
+        if _t_central_mass(mid, dof) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)

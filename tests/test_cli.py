@@ -798,6 +798,16 @@ def test_importing_cli_loads_no_numpy():
     assert run_python("import sys, latenthypernet.cli; print('numpy' in sys.modules)") == ["False"]
 
 
+def test_no_module_loads_scipy():
+    code = (
+        "import sys\n"
+        "from latenthypernet import cli, convnet, evaluation, fileio, ingest, lhn, pls, synthetic\n"
+        "evaluation.timing_stats([1.0, 1.1, 0.9], [1.2, 1.0, 1.1])\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert run_python(code) == ["False"]
+
+
 PRINT_THREAD_VARS = f"import os, latenthypernet; print(*map(os.environ.get, {_THREAD_VARS!r}))"
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,8 +286,42 @@ class TestTimingStats:
             evaluation.timing_stats([1.0], [1.0, 2.0])
 
     def test_bad_dof(self):
-        with pytest.raises(ParameterError):
-            evaluation.student_t_critical(0)
+        for dof in (0, 2.5, True):
+            message = f"degrees of freedom must be an integer >= 1, got {dof!r}"
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                evaluation.student_t_critical(dof)
+
+
+NORMAL_975 = 1.959963984540054  # the standard normal's 0.975 quantile, the t's limit
+
+
+class TestStudentTCritical:
+    @pytest.mark.parametrize("alpha", [0.05, 0.10])
+    def test_closed_forms_for_one_and_two_dof(self, alpha):
+        p = 1.0 - alpha
+        assert evaluation.student_t_critical(1, alpha) == pytest.approx(
+            math.tan(math.pi * p / 2.0), rel=1e-12
+        )
+        assert evaluation.student_t_critical(2, alpha) == pytest.approx(
+            math.sqrt(2.0 * p * p / (1.0 - p * p)), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.10])
+    @pytest.mark.parametrize("dof", [*range(1, 11), 29, 58, 100, 200])
+    def test_against_quadrature(self, dof, alpha):
+        assert evaluation.student_t_critical(dof, alpha) == pytest.approx(
+            t_critical_oracle(dof, alpha), abs=1e-9
+        )
+
+    def test_decreases_towards_the_normal_quantile(self):
+        values = [evaluation.student_t_critical(dof) for dof in range(1, 201)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > NORMAL_975
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, math.nan])
+    def test_alpha_outside_the_unit_interval_refused(self, alpha):
+        with pytest.raises(ParameterError, match="alpha must be in"):
+            evaluation.student_t_critical(5, alpha)
 
 
 class TestTimingBenchmark:
