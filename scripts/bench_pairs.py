@@ -17,7 +17,8 @@ is worse than the parent's by more than the metric's bound, and whether the
 metric is unresolved: no gain, a parent spread too wide to tell a change
 within the bound, and a change that does not win every pair. The last line of
 standard output is a JSON list with one such summary per workload, holding
-every run's values.
+every run's values and, under `setup_s_each`, each run's set-up times per
+side in pair order (from the run record; null where a run reports none).
 
 `--out PATH` also writes that list to PATH as `{"summaries": [...],
 "environment": {...}}`; the environment holds each checkout's `git rev-parse
@@ -84,15 +85,20 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> di
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run from a checkout; returns its result line."""
+    """One untraced perfbench run from a checkout: its result line, plus its set-up times.
+
+    The set-up times, `setup_s_each`, come from the run record, the line
+    before the result; they are None when the record holds none.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # each side imports its own src/
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or not lines:
+    if out.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {out.returncode}\n{out.stderr}")
-    return json.loads(lines[-1])
+    record, result = (json.loads(line) for line in lines[-2:])
+    return result | {"setup_s_each": record.get("detail", {}).get("setup_s_each")}
 
 
 def compare(dirs: dict, benchmark: dict, workload: str, pairs: int, seconds: float,
@@ -115,8 +121,9 @@ def compare(dirs: dict, benchmark: dict, workload: str, pairs: int, seconds: flo
                   for p, c in zip(runs["parent"], runs["change"])]
         summary[name] = summarize(values, metric["better"], metric["bound"]) | {"values": values}
     correct = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
+    setups = {side: [r.get("setup_s_each") for r in runs[side]] for side in SIDES}
     return {"workload": workload, "pairs": pairs, "seconds": seconds, "first_seed": first_seed,
-            "correct": correct, "metrics": summary}
+            "correct": correct, "metrics": summary, "setup_s_each": setups}
 
 
 def environment(dirs: dict) -> dict:

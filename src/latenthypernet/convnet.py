@@ -17,14 +17,15 @@ Each kernel's memory is in (kh, kw, in_maps, filters) order, which is the
 kernel matrix that product reads, and NetworkParams.conv_kernels[i] is its
 [filters, in_maps, kh, kw] view. So the forward, the kernel gradient and the
 input gradient all read the stored kernels without a copy.
-The forward is split into the trunk, which runs the conv/pool stages, and
-the head, which flattens the last pool output and runs the dense layer and
-softmax. The batched forward runs both and returns every layer's output; a
-single window runs as a batch of one. The logits and everything the
-backward needs are read from those outputs. The latent hypernet's pool taps
-come from the trunk alone, so it never runs the dense head; its batched head
-(_tap_head) reads each pool output as maps-innermost rows, a free view, and
-permutes the head's rows to that order instead of copying a tap.
+The forward is split into the trunk, a loop over the stage primitive
+(_stage: conv, in-place ReLU, 2x1 pool), and the head, which flattens the
+last pool output and runs the dense layer and softmax. The batched forward
+runs both and returns every layer's output; a single window runs as a batch
+of one. The logits and everything the backward needs are read from those
+outputs. The latent hypernet never runs the dense head: it builds each pool
+tap by running _stage on the tap below, and its batched head (_tap_head)
+reads each pool output of the trunk as maps-innermost rows, a free view,
+and permutes the head's rows to that order instead of copying a tap.
 
 A dataset runs in chunks of _CHUNK = 16 windows. The size is chosen for the
 cache, not for memory alone: a 256-window chunk of convnet3 on 128x2 windows
@@ -417,14 +418,19 @@ def _maxpool_backward_batch(grad_out, x):
     return grad_x
 
 
+def _stage(x, kernels, biases):
+    """One stage of a [b, maps, h, w] batch: its conv output, ReLU'd in place, and its 2x1 pool."""
+    out = _conv_forward_batch(x, kernels, biases)
+    np.maximum(out, 0.0, out=out)
+    return out, _maxpool_forward_batch(out)
+
+
 def _trunk(params, x):
     """Conv and pool output of every stage for a [b, 1, h, w] batch, in layer order."""
     outputs = []
-    cur = x
     for kernels, biases in zip(params.conv_kernels, params.conv_biases):
-        out = _conv_forward_batch(cur, kernels, biases)
-        cur = _maxpool_forward_batch(np.maximum(out, 0.0, out=out))  # in place: out is kept
-        outputs += [out, cur]
+        outputs += _stage(x, kernels, biases)
+        x = outputs[-1]
     return outputs
 
 
@@ -617,8 +623,8 @@ def train_arrays(
 ) -> NetworkParams:
     """Mini-batch SGD with momentum on softmax cross-entropy.
 
-    x is [n, 1, h, w]; labels are class indices in [0, k), checked once per
-    call. Deterministic for a fixed seed: weight init uses hyper.seed, epoch
+    x is [n, 1, h, w]; labels are n class indices in [0, k), checked once per
+    call, before any weight is built. Deterministic for a fixed seed: weight init uses hyper.seed, epoch
     shuffling uses hyper.seed + 1. Logs one `epoch,loss,train_recall` line
     per epoch when log_stream is given (recall is the running macro recall
     over that epoch's batches).
@@ -628,6 +634,8 @@ def train_arrays(
         raise InputError("training needs at least one window")
     k = config.n_classes
     labels = class_indices(labels, k)
+    if labels.size != n:
+        raise ShapeError(f"{labels.size} labels for {n} windows")
     params = init_params(config, hyper.seed)
     shuffle_rng = np.random.default_rng(hyper.seed + 1)
 

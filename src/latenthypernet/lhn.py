@@ -7,10 +7,14 @@ and a fresh fully connected + softmax classifier is trained on them. The
 network's weights are read, never written.
 
 Fitting one projection per stage (instead of one over the concatenated
-maps) keeps each fit small. The stages are fitted in layer order, each
-projection fit reads its stage's taps in place, and a stage's raw taps are
-released once they are projected, so a reduced fit holds the taps and no
-other array as large as one of them. A `reduce=False` switch skips the
+maps) keeps each fit small, and no stage's fit needs another stage's taps.
+So the taps are built one pool layer at a time (collect_pool_features):
+layer 0 from the windows, and layer i + 1 by running its stage on layer i's
+taps. A fit builds layer i, fits and projects it reading the taps in place,
+builds layer i + 1 from it, and then releases layer i. A reduced fit thus
+holds at most two adjacent layers' taps and no other array as large as one
+of them: on 800 convnet3 128x2 windows, 27.2 MB of the 34.3 MB that all
+four layers take. A `reduce=False` switch skips the
 projections entirely and feeds z-scored raw taps to the classifier, for
 measuring what the reduction step contributes. A model is
 valid only on the network it was fitted on; it records that network's
@@ -110,20 +114,53 @@ class LhnModel:
 
 
 def collect_pool_features(
-    params: NetworkParams, config: NetworkConfig, dataset: Dataset
-) -> list[np.ndarray]:
-    """One matrix per pool layer; row j is window j's flattened pool output.
+    params: NetworkParams,
+    config: NetworkConfig,
+    dataset: Dataset,
+    layer: int,
+    below: np.ndarray | None = None,
+) -> np.ndarray:
+    """Pool layer `layer`'s taps; row j is window j's flattened pool output.
 
-    Flattening is row-major over (map, row, column). The network parameters
-    are only read. The matrices are allocated once, and each chunk's pool
-    outputs are copied straight into their rows.
+    Flattening is row-major over (map, row, column). Layer 0 runs the first
+    stage on the dataset's windows. Every later layer runs its own stage on
+    `below`, the taps of layer - 1 for the same windows, viewed as
+    [n, maps, rows, columns] (a free view of that order), so a caller that
+    walks the layers holds at most two of them. The stage runs on
+    convnet._CHUNK windows at a time and each chunk's pool output is copied
+    straight into its rows of the one tap matrix. The network parameters
+    are only read.
     """
-    x = convnet._dataset_batch(config, dataset)
-    taps = [np.empty((len(x), width)) for width in config.tap_widths()]
+    widths = config.tap_widths()
+    check_count(layer, 0, "layer")
+    if layer >= len(widths):
+        raise ParameterError(f"layer {layer} is past {config.name}'s {len(widths)} pool layers")
+    if layer == 0:
+        x = convnet._dataset_batch(config, dataset)
+    else:
+        want = (len(dataset), widths[layer - 1])
+        if below is None or below.shape != want:
+            got = "none" if below is None else f"shape {below.shape}"
+            raise ShapeError(f"layer {layer} is built from layer {layer - 1}'s {want} taps, got {got}")
+        x = below.reshape(len(below), *config.shapes[2 * layer - 1])
+    tap = np.empty((len(x), widths[layer]))
+    kernels, biases = params.conv_kernels[layer], params.conv_biases[layer]
     for rows in convnet._chunks(len(x)):
-        for tap, pooled in zip(taps, convnet._pools(params, x[rows])):
-            tap[rows].reshape(pooled.shape)[...] = pooled  # a row slice's reshape is a view
-    return taps
+        pooled = convnet._stage(x[rows], kernels, biases)[1]  # the conv output is freed here
+        tap[rows].reshape(pooled.shape)[...] = pooled  # a row slice's reshape is a view
+    return tap
+
+
+def _pool_taps(params: NetworkParams, config: NetworkConfig, dataset: Dataset):
+    """Every pool layer's taps in layer order, each built from the one below.
+
+    The generator keeps only the newest layer, so a caller that drops each
+    layer before it takes the next holds at most two.
+    """
+    tap = None
+    for layer in range(len(config.tap_widths())):
+        tap = collect_pool_features(params, config, dataset, layer, tap)
+        yield tap
 
 
 def lhn_fit(
@@ -139,9 +176,10 @@ def lhn_fit(
     Each pool layer's projection is fitted independently on that layer's
     taps and the one-hot labels; requested widths wider than a layer
     supports are clamped (with a warning) by the projection fit. Layers go
-    in order, each fit reads its layer's taps in place, and each layer's raw
-    taps are released once they are projected, so a reduced fit holds the
-    taps and no other array as large as one of them. The dataset must have
+    in order: each layer's taps are built from the layer below, fitted and
+    projected in place, and released once the next layer is built from
+    them, so a reduced fit holds at most two adjacent layers' taps and no
+    other array as large as one of them. The dataset must have
     as many classes as the network's softmax, so that check_pair accepts
     the model with it.
     """
@@ -156,17 +194,17 @@ def lhn_fit(
     if len(np.unique(labels)) < 2:
         raise DegenerateClassError("need windows from at least 2 classes")
 
-    taps = collect_pool_features(params, config, dataset)
     indicators = pls.one_hot(labels, k) if reduce else None
     models, standardizers, parts = [], [], []
-    for i in range(len(taps)):  # in layer order: layer i's fit is the i-th nipals_fit
+    # in layer order: layer i's fit is the i-th nipals_fit, called from here
+    for tap in _pool_taps(params, config, dataset):
         if reduce:
-            models.append(model := pls.nipals_fit(taps[i], indicators, components))
-            parts.append(pls.pls_transform(model, taps[i]))
+            models.append(model := pls.nipals_fit(tap, indicators, components))
+            parts.append(pls.pls_transform(model, tap))
         else:
-            standardizers.append(s := pls.standardize_fit(taps[i]))
-            parts.append(pls.standardize_apply(s, taps[i]))
-        taps[i] = None  # released once projected
+            standardizers.append(s := pls.standardize_fit(tap))
+            parts.append(pls.standardize_apply(s, tap))
+        del tap  # projected; the producer keeps it until the next layer is built from it
     latent = np.concatenate(parts, axis=1)
     del parts  # unreduced, these are as wide as the taps; the head trains on latent alone
     head_config = NetworkConfig(
@@ -279,9 +317,11 @@ def export_projection(
 
     `last` projects the final pool layer's taps with its fitted model and
     takes components 1 and 2; `all` fits a fresh two-component projection
-    on the concatenation of every layer's taps, releasing the per-layer taps
-    once they are concatenated. Rows are (comp1, comp2, class name); written
-    as CSV when out_path is given.
+    on the concatenation of every layer's taps. Both build the taps layer by
+    layer, each from the one below: `last` holds at most two layers at a
+    time, and `all` writes each layer into its columns of the concatenation
+    and builds the next from those columns. Rows are (comp1, comp2, class
+    name); written as CSV when out_path is given.
     """
     if layer_selector not in ("last", "all"):
         raise ParameterError(f"layer_selector must be 'last' or 'all', got {layer_selector!r}")
@@ -290,12 +330,18 @@ def export_projection(
             raise ParameterError("projection export needs a model fitted with reduce=True")
         if model.layer_components[-1] < 2:
             raise ParameterError("last pool layer has fewer than 2 components; cannot export")
-    taps = collect_pool_features(params, config, dataset)
     if layer_selector == "last":
-        coords = pls.pls_transform(model.pls_models[-1], taps[-1])[:, :2]
+        for tap in _pool_taps(params, config, dataset):
+            pass  # each layer is built from the one below; only the last is projected
+        coords = pls.pls_transform(model.pls_models[-1], tap)[:, :2]
     else:
-        combined = np.concatenate(taps, axis=1)
-        del taps
+        widths = config.tap_widths()
+        combined = np.empty((len(dataset), sum(widths)))
+        tap = None
+        for layer, end in enumerate(np.cumsum(widths)):
+            block = combined[:, end - widths[layer] : end]
+            block[...] = collect_pool_features(params, config, dataset, layer, tap)
+            tap = block  # the next layer is built from these columns
         indicators = pls.one_hot(dataset.labels(), dataset.n_classes)
         fresh = pls.nipals_fit(combined, indicators, 2)
         coords = pls.pls_transform(fresh, combined)

@@ -173,3 +173,40 @@ def test_out_file_is_the_printed_summaries_plus_the_environment(tmp_path, monkey
     assert env["commits"] == {"parent": head, "change": None}  # the change is no git checkout
     assert env["LHN_THREADS"] == "1" and env["nproc"] >= 1
     assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+
+
+def test_each_runs_setup_times_are_kept_in_pair_order(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+    benchmark = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}
+    (parent / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    result = {"correct": True, "metrics": {"wall_s": {"value": 1.0}}}
+
+    def fake_run(cmd, cwd, env, capture_output, text):
+        seed = float(cmd[cmd.index("--seed") + 1])
+        setups = [seed, seed + (0.5 if Path(cwd) == change else 0.0)]
+        record = {"workload": "cv", "detail": {"setup_s_each": setups}}
+        stdout = f"# a table line\n{json.dumps(record)}\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(change, "cv", 3, 1.0) == result | {"setup_s_each": [3.0, 3.5]}
+    rc = bench_pairs.main([str(parent), str(change), "--workload", "cv", "--pairs", "2",
+                           "--seconds", "1", "--first-seed", "4"])
+    assert rc == 0
+    (summary,) = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["setup_s_each"] == {
+        "parent": [[4.0, 4.0], [5.0, 5.0]],
+        "change": [[4.0, 4.5], [5.0, 5.5]],
+    }
+
+
+def test_a_record_without_setup_times_reads_null(monkeypatch):
+    result = {"correct": True, "metrics": {}}
+
+    def fake_run(cmd, cwd, env, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 0, f"{json.dumps({})}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(Path("."), "cv", 1, 1.0) == result | {"setup_s_each": None}

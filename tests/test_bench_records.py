@@ -44,3 +44,15 @@ def test_both_sides_were_correct(record):
 def test_environment_names_both_commits(record):
     commits = record["environment"]["commits"]
     assert {"parent", "change"} <= set(commits)
+
+
+def test_kept_setup_times_are_one_list_per_run(record):
+    for summary in record["summaries"]:
+        setups = summary.get("setup_s_each")
+        if setups is None:  # written before bench_pairs kept them
+            continue
+        assert set(setups) == {"parent", "change"}, summary["workload"]
+        for runs in setups.values():
+            assert len(runs) == summary["pairs"], summary["workload"]
+            for each in runs:
+                assert each is None or all(isinstance(v, (int, float)) for v in each)

@@ -767,6 +767,24 @@ class TestTrain:
         with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
             convnet.train_arrays(cfg, x, np.array([0, 1, bad, 2]), TrainingConfig(epochs=1))
 
+    # unchecked, 50 labels trained on the first 40, 30 raised a bare IndexError
+    # mid-epoch, and 50 with a log raised one from the recall's boolean index
+    @pytest.mark.parametrize("count, log", [(50, False), (30, False), (50, True)])
+    def test_label_count_other_than_the_windows_refused_first(self, monkeypatch, count, log):
+        ds = self.small_dataset(n=40)
+        cfg = convnet.preset("convnet1", ds.window_len, ds.channels, ds.n_classes)
+        x = convnet._dataset_batch(cfg, ds)
+        labels = np.resize(ds.labels(), count)
+
+        def no_params(*args):
+            raise AssertionError("weights were built before the labels were counted")
+
+        monkeypatch.setattr(convnet, "init_params", no_params)
+        with pytest.raises(ShapeError, match=f"^{count} labels for 40 windows$"):
+            convnet.train_arrays(
+                cfg, x, labels, TrainingConfig(epochs=1), log_stream=io.StringIO() if log else None
+            )
+
     @pytest.mark.parametrize(
         "setting",
         [{"epochs": 0}, {"batch_size": 0}, {"batch_size": -4},

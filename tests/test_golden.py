@@ -73,7 +73,7 @@ def test_folded_head_equals_the_latent_classifier(probe, name):
     """The batched head's folded logits are the latent vector's logits, to rounding."""
     params, config = convnet.load_params(DATA / "golden.params.json")
     model = lhn.load_lhn(DATA / f"golden.{name}.lhn.json")
-    taps = lhn.collect_pool_features(params, config, probe)
+    taps = list(lhn._pool_taps(params, config, probe))
     latent = lhn._latent(model.pls_models, model.tap_standardizers, taps)
     expected = latent @ model.classifier_weights + model.classifier_bias
     x = convnet._dataset_batch(config, probe)

@@ -1,6 +1,10 @@
 import collections
 import dataclasses
+import functools
+import inspect
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,12 +72,27 @@ TAMPERINGS = {
 
 def test_collect_pool_features_shapes(trained):
     ds, cfg, params = trained
-    taps = lhn.collect_pool_features(params, cfg, ds)
+    taps = list(lhn._pool_taps(params, cfg, ds))
     assert len(taps) == 2
     shapes = convnet.propagate_shapes(cfg)
     pool_shapes = [s for s, spec in zip(shapes, cfg.layers) if spec.kind == "maxpool"]
     for tap, shape in zip(taps, pool_shapes):
         assert tap.shape == (len(ds), int(np.prod(shape)))
+
+
+def test_collect_pool_features_refuses_a_layer_it_cannot_build(trained):
+    ds, cfg, params = trained
+    first = lhn.collect_pool_features(params, cfg, ds, 0)
+    with pytest.raises(ParameterError, match="^layer 2 is past convnet1's 2 pool layers$"):
+        lhn.collect_pool_features(params, cfg, ds, 2, first)
+    with pytest.raises(ParameterError, match="^layer must be an integer >= 0, got -1$"):
+        lhn.collect_pool_features(params, cfg, ds, -1)
+    want = re.escape(f"layer 1 is built from layer 0's {first.shape} taps, got")
+    with pytest.raises(ShapeError, match=f"^{want} none$"):
+        lhn.collect_pool_features(params, cfg, ds, 1)
+    short = re.escape(str((len(ds) - 1, first.shape[1])))
+    with pytest.raises(ShapeError, match=f"^{want} shape {short}$"):
+        lhn.collect_pool_features(params, cfg, ds, 1, first[1:])
 
 
 def test_tap_flattening_is_map_row_column(trained):
@@ -119,7 +138,7 @@ def assert_single_window_is_a_batch_of_one(ds, cfg, params, model):
     convnet_rows = convnet.predict_dataset(params, cfg, ds)
     assert len(np.unique(convnet_rows)) == ds.n_classes
     lhn_rows = lhn.lhn_predict_dataset(model, params, cfg, ds)
-    taps = lhn.collect_pool_features(params, cfg, ds)
+    taps = list(lhn._pool_taps(params, cfg, ds))
     for j, window in enumerate(ds.windows):
         assert convnet.predict(params, cfg, window.values) == convnet_rows[j]
         assert lhn.lhn_predict(model, params, cfg, window.values) == lhn_rows[j]
@@ -157,7 +176,7 @@ def test_chunked_taps_equal_one_unchunked_forward(name, window_len):
     )
     cfg = convnet.preset(name, ds.window_len, ds.channels, ds.n_classes)
     params = convnet.init_params(cfg, 3)
-    taps = lhn.collect_pool_features(params, cfg, ds)
+    taps = list(lhn._pool_taps(params, cfg, ds))
     whole = convnet._forward_taps(params, convnet._dataset_batch(cfg, ds))
     assert [t.shape for t in taps] == [(len(ds), w) for w in cfg.tap_widths()]
     for tap, expected in zip(taps, whole, strict=True):
@@ -191,7 +210,7 @@ def test_idempotent_fit(trained):
 def test_per_layer_fit_matches_direct_fit(trained):
     ds, cfg, params = trained
     model = lhn.lhn_fit(params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1))
-    taps = lhn.collect_pool_features(params, cfg, ds)
+    taps = list(lhn._pool_taps(params, cfg, ds))
     indicators = pls.one_hot(ds.labels(), ds.n_classes)
     for tap, fitted in zip(taps, model.pls_models):
         direct = pls.nipals_fit(tap, indicators, 3)
@@ -211,20 +230,32 @@ def tap_bytes(ds, cfg):
     return 8 * len(ds) * sum(cfg.tap_widths())
 
 
-def peak_after_collection(monkeypatch, run):
-    """Bytes traced at run()'s peak once its taps are collected, above those traced at its start.
+def pair_bytes(ds, cfg):
+    """Bytes of the widest two adjacent layers' taps."""
+    widths = cfg.tap_widths()
+    return 8 * len(ds) * max(a + b for a, b in zip(widths, widths[1:]))
 
-    The forward's own chunk buffers, freed before the taps are returned, are
-    not counted. run() goes once untraced first, so lazy imports are not either.
+
+def chunk_bytes(cfg):
+    """Bytes of the largest stage's buffers on one convnet._CHUNK-window chunk.
+
+    A stage's buffers are its maps-last input, its window rows, its conv
+    output and its pool output.
     """
-    collect = lhn.collect_pool_features
+    inputs = [(1, cfg.input_h, cfg.input_w), *cfg.shapes[1:-3:2]]
+    stages = zip(cfg.layers[:-3:2], inputs, cfg.shapes[0:-3:2], cfg.shapes[1:-3:2])
+    return 8 * convnet._CHUNK * max(
+        math.prod(x) + spec.kernel_h * spec.kernel_w * x[0] * out[1] * out[2]
+        + math.prod(out) + math.prod(pooled)
+        for spec, x, out, pooled in stages
+    )
 
-    def collected(*args):
-        taps = collect(*args)
-        tracemalloc.reset_peak()
-        return taps
 
-    monkeypatch.setattr(lhn, "collect_pool_features", collected)
+def traced_peak(run):
+    """Bytes traced at run()'s peak, its taps' building included, above those traced at its start.
+
+    run() goes once untraced first, so lazy imports are not counted.
+    """
     run()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -240,27 +271,33 @@ def peak_after_collection(monkeypatch, run):
 
 
 @pytest.mark.parametrize("reduce", [True, False])
-def test_fit_holds_one_standardized_copy_of_a_tap(wide_taps, monkeypatch, reduce):
+def test_fit_holds_one_standardized_copy_of_a_tap(wide_taps, reduce):
     ds, cfg, params = wide_taps
-    taps = tap_bytes(ds, cfg)
-    peak = peak_after_collection(
-        monkeypatch,
-        lambda: lhn.lhn_fit(params, cfg, ds, 3, TrainingConfig(epochs=1), reduce=reduce),
+    peak = traced_peak(
+        lambda: lhn.lhn_fit(params, cfg, ds, 3, TrainingConfig(epochs=1), reduce=reduce)
     )
-    # Reduced, each fit reads its tap in place, so the fit holds the taps and a
-    # few small arrays. Unreduced, the latent matrix is as wide as all the taps,
-    # and concatenating it holds both.
-    assert peak <= 1.1 * (taps if reduce else 2 * taps)
+    # Reduced, each layer is built from the one below and fitted in place, so
+    # the fit holds two adjacent layers and one chunk's stage buffers at most.
+    # Unreduced, the latent matrix is as wide as all the taps, and
+    # concatenating it holds both.
+    if reduce:
+        assert peak <= 1.1 * pair_bytes(ds, cfg) + chunk_bytes(cfg)
+    else:
+        assert peak <= 1.1 * 2 * tap_bytes(ds, cfg)
 
 
-def test_export_all_holds_the_combined_taps_and_one_standardized_copy(wide_taps, monkeypatch):
+def test_export_last_holds_two_adjacent_layers(wide_taps):
     ds, cfg, params = wide_taps
-    taps = tap_bytes(ds, cfg)
     model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
-    peak = peak_after_collection(
-        monkeypatch, lambda: lhn.export_projection(model, params, cfg, ds, "all")
-    )
-    assert peak <= 1.1 * 2 * taps
+    peak = traced_peak(lambda: lhn.export_projection(model, params, cfg, ds, "last"))
+    assert peak <= 1.1 * pair_bytes(ds, cfg) + chunk_bytes(cfg)
+
+
+def test_export_all_holds_the_combined_taps_and_one_standardized_copy(wide_taps):
+    ds, cfg, params = wide_taps
+    model = lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1))
+    peak = traced_peak(lambda: lhn.export_projection(model, params, cfg, ds, "all"))
+    assert peak <= 1.1 * 2 * tap_bytes(ds, cfg)
 
 
 @pytest.mark.parametrize("reduce", [True, False])
@@ -269,10 +306,14 @@ def test_layer_maps_equal_direct_fits_on_each_tap(wide_taps, reduce):
     model = lhn.lhn_fit(
         params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1), reduce=reduce
     )
-    taps = lhn.collect_pool_features(params, cfg, ds)
-    if reduce:
+    assert_layer_maps_are_direct_fits(model, list(lhn._pool_taps(params, cfg, ds)), ds, 3)
+
+
+def assert_layer_maps_are_direct_fits(model, taps, ds, components):
+    """Each layer's map in a fitted model equals a direct fit on that layer's taps, bit for bit."""
+    if model.reduced:
         indicators = pls.one_hot(ds.labels(), ds.n_classes)
-        direct = [pls.nipals_fit(tap, indicators, 3) for tap in taps]
+        direct = [pls.nipals_fit(tap, indicators, components) for tap in taps]
         for d, fitted in zip(direct, model.pls_models, strict=True):
             assert np.array_equal(d.weights, fitted.weights)
         pairs = [(d.x_standardizer, f.x_standardizer) for d, f in zip(direct, model.pls_models)]
@@ -281,6 +322,81 @@ def test_layer_maps_equal_direct_fits_on_each_tap(wide_taps, reduce):
     for d, fitted in pairs:
         assert np.array_equal(d.means, fitted.means)
         assert np.array_equal(d.stds, fitted.stds)
+
+
+@pytest.mark.parametrize("name", ["convnet1", "convnet2", "convnet3"])
+def test_layer_by_layer_taps_equal_per_window_forwards(name):
+    """Each layer, built from the one below in chunks, has the bits of each window's own forward."""
+    ds = synthetic.make_synthetic_dataset(
+        n_windows=2 * convnet._CHUNK + 5, window_len=128, seed=9
+    )
+    cfg = convnet.preset(name, ds.window_len, ds.channels, ds.n_classes)
+    params = convnet.init_params(cfg, 2)
+    x = convnet._dataset_batch(cfg, ds)
+    per_window = [convnet._forward_taps(params, x[j : j + 1]) for j in range(len(ds))]
+    taps = [np.concatenate(rows) for rows in zip(*per_window)]
+    built = list(lhn._pool_taps(params, cfg, ds))
+    assert [t.shape for t in built] == [(len(ds), w) for w in cfg.tap_widths()]
+    for tap, expected in zip(built, taps, strict=True):
+        assert np.array_equal(tap, expected)
+    for reduce in (True, False):
+        model = lhn.lhn_fit(
+            params, cfg, ds, components=3, classifier=TrainingConfig(epochs=1), reduce=reduce
+        )
+        assert_layer_maps_are_direct_fits(model, taps, ds, 3)
+
+
+def record_calls(monkeypatch, modules):
+    """Log every call to the public functions of `modules`, as the benchmark's tracer does.
+
+    Each function is replaced in its module by a wrapper, so a call made
+    inside a module is logged only when it looks the name up there. An
+    entry is (name, index of the logged call it was made in or -1, bound
+    arguments).
+    """
+    calls, open_calls = [], []
+
+    def logged(name, fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            parent = open_calls[-1] if open_calls else -1
+            calls.append((name, parent, signature.bind(*args, **kwargs).arguments))
+            open_calls.append(len(calls) - 1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+
+        return call
+
+    for module in modules:
+        short = module.__name__.rsplit(".", 1)[-1]
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name[0] != "_":
+                monkeypatch.setattr(module, name, logged(f"{short}.{name}", fn))
+    return calls
+
+
+@pytest.mark.parametrize("reduce", [True, False])
+@pytest.mark.parametrize("name, window_len", [("convnet1", 64), ("convnet3", 128)])
+def test_fit_makes_the_calls_the_benchmark_tracer_reads(monkeypatch, name, window_len, reduce):
+    """perfbench counts tap windows from collect_pool_features' `dataset`
+    argument and groups nipals_fit calls by the lhn_fit they were made in."""
+    ds = synthetic.make_synthetic_dataset(n_windows=40, window_len=window_len, seed=4)
+    cfg = convnet.preset(name, window_len, ds.channels, ds.n_classes)
+    params = convnet.init_params(cfg, 0)
+    calls = record_calls(monkeypatch, (convnet, lhn, pls))
+    lhn.lhn_fit(params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=reduce)
+    (fit,) = [i for i, (called, _, _) in enumerate(calls) if called == "lhn.lhn_fit"]
+    collects = [(p, args) for called, p, args in calls if called == "lhn.collect_pool_features"]
+    assert len(collects) == len(cfg.tap_widths())
+    for parent, arguments in collects:
+        assert parent == fit
+        assert len(arguments["dataset"]) == len(ds)
+    nipals = [p for called, p, _ in calls if called == "pls.nipals_fit"]
+    assert nipals == ([fit] * len(cfg.tap_widths()) if reduce else [])
 
 
 @pytest.mark.parametrize("reduce", [True, False])
@@ -297,7 +413,7 @@ def test_transform_matches_training_latent_row(trained, reduce, monkeypatch):
     model = lhn.lhn_fit(
         params, cfg, ds, components=4, classifier=TrainingConfig(epochs=1), reduce=reduce
     )
-    taps = lhn.collect_pool_features(params, cfg, ds)
+    taps = list(lhn._pool_taps(params, cfg, ds))
     latent = lhn._latent(model.pls_models, model.tap_standardizers, taps)
     (x,) = head_inputs
     assert x.shape == (len(ds), 1, model.latent_width, 1)
@@ -488,7 +604,7 @@ def test_no_reduction_ablation(trained):
     model = lhn.lhn_fit(
         params, cfg, ds, components=19, classifier=TrainingConfig(epochs=2), reduce=False
     )
-    taps = lhn.collect_pool_features(params, cfg, ds)
+    taps = list(lhn._pool_taps(params, cfg, ds))
     assert not model.reduced
     assert model.latent_width == sum(t.shape[1] for t in taps)
     pred = lhn.lhn_predict(model, params, cfg, ds.windows[0].values)
@@ -508,7 +624,7 @@ def test_latent_refuses_a_tap_list_one_layer_short(trained, reduce):
     model = lhn.lhn_fit(
         params, cfg, ds, components=2, classifier=TrainingConfig(epochs=1), reduce=reduce
     )
-    taps = lhn.collect_pool_features(params, cfg, ds)[:-1]
+    taps = list(lhn._pool_taps(params, cfg, ds))[:-1]
     with pytest.raises(ShapeError, match="network exposes 1 pool layers, model was fitted on 2"):
         lhn._latent(model.pls_models, model.tap_standardizers, taps)
 
