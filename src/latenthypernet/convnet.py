@@ -624,10 +624,10 @@ def train_arrays(
     """Mini-batch SGD with momentum on softmax cross-entropy.
 
     x is [n, 1, h, w]; labels are n class indices in [0, k), checked once per
-    call, before any weight is built. Deterministic for a fixed seed: weight init uses hyper.seed, epoch
-    shuffling uses hyper.seed + 1. Logs one `epoch,loss,train_recall` line
-    per epoch when log_stream is given (recall is the running macro recall
-    over that epoch's batches).
+    call, before any weight is built. Deterministic for a fixed seed: weight
+    init uses hyper.seed, epoch shuffling uses hyper.seed + 1. Logs one
+    `epoch,loss,train_recall` line per epoch when log_stream is given (recall
+    is the running macro recall over that epoch's batches).
     """
     n = x.shape[0]
     if n == 0:
